@@ -43,7 +43,6 @@
 
 #include "bench_json.hpp"
 #include "hub/hub.hpp"
-#include "hub/view.hpp"
 #include "obs/metrics.hpp"
 
 namespace {
@@ -174,13 +173,12 @@ int main(int argc, char** argv) {
   }
   // Ingest totals are tracked by the hub itself regardless of telemetry:
   // no beat may be lost in either mode.
-  hb::hub::HubView view(hub);
   const std::uint64_t expected =
       static_cast<std::uint64_t>(kProducers) *
       (2000 +  // warm-up
        static_cast<std::uint64_t>(reps) * 2 * per_thread +
        (hb::obs::kCompiledIn ? 2 * 2000 : 0));
-  if (view.cluster().total_beats != expected) ok = false;
+  if (hub.snapshot()->cluster().total_beats != expected) ok = false;
 
   std::printf("\n# hb_obs_compiled_in=%s\n",
               hb::obs::kCompiledIn ? "yes" : "no");

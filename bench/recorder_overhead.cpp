@@ -46,7 +46,6 @@
 #include "bench_json.hpp"
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
-#include "hub/view.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "policy/policy_engine.hpp"
@@ -97,7 +96,7 @@ double pipeline_pass(Pipeline& p, int sweeps, std::uint64_t per_thread) {
       p.hub->flush();
       p.hub->snapshot();  // rebuild -> note_publish on the recorder
       auto report = std::make_shared<const hb::fault::FleetReport>(
-          p.detector.sweep(hb::hub::HubView(*p.hub)));
+          p.detector.sweep(p.hub->snapshot()));
       p.recorder->record_report(report);
       p.engine.observe(*report);
     }

@@ -18,8 +18,8 @@
 // The bench also measures the doorbell's reason to exist: a consumer
 // parked on an idle ring should cost ~zero CPU. The idle section runs the
 // canonical pump loop (poll + wait) over a quiet second and reads
-// CLOCK_THREAD_CPUTIME_ID around it; with the futex doorbell available the
-// consumer thread must stay under 1% CPU, and the bench FAILS otherwise.
+// CLOCK_THREAD_CPUTIME_ID around it; the consumer thread parked on the
+// futex doorbell must stay under 1% CPU, and the bench FAILS otherwise.
 //
 // Every run ends with a conservation coda: frames consumed + frames
 // dropped + frames torn must equal frames produced (shared head plus every
@@ -316,11 +316,8 @@ int main(int argc, char** argv) {
   const double idle_window_s = 1.0;
   const double idle_cpu = run_idle(dir, idle_window_s, &idle_wall);
   const double idle_pct = idle_wall > 0 ? 100.0 * idle_cpu / idle_wall : 0.0;
-  const bool doorbell = ShmIngestQueue::doorbell_supported();
-  // 1% of the window when the futex doorbell is parking the consumer; the
-  // portable backoff fallback wakes every idle_sleep_max_ns and gets a
-  // looser informational bill instead of a gate.
-  const bool idle_ok = !doorbell || idle_cpu < 0.01 * idle_window_s;
+  // A consumer parked on the futex doorbell must cost under 1% of the window.
+  const bool idle_ok = idle_cpu < 0.01 * idle_window_s;
 
   fs::remove_all(dir);
   const bool fast_wins = fast_at_64 > mpsc_at_64;
@@ -328,8 +325,7 @@ int main(int argc, char** argv) {
       "\n# fastpath_beats_mpsc_at_64=%s (sustained: fastpath %.0f/s vs "
       "mpsc %.0f/s)\n",
       fast_wins ? "yes" : "no", fast_at_64, mpsc_at_64);
-  std::printf("# idle_consumer_cpu_pct=%.3f (doorbell=%s, gate=%s)\n",
-              idle_pct, doorbell ? "futex" : "fallback",
+  std::printf("# idle_consumer_cpu_pct=%.3f (gate=%s)\n", idle_pct,
               idle_ok ? "ok" : "FAIL");
   std::printf("# frames_conserved=%s\n", conserved ? "yes" : "NO");
 
@@ -338,7 +334,7 @@ int main(int argc, char** argv) {
     rec.config("beats_per_producer", beats);
     rec.config("repeat", repeat);
     rec.config("smoke", smoke);
-    rec.config("doorbell", doorbell ? "futex" : "fallback");
+    rec.config("doorbell", "futex");
     for (const Row& row : rows) {
       const std::string p = std::to_string(row.producers);
       rec.metric(("mpsc_beats_per_sec_p" + p).c_str(), row.mpsc_rate);

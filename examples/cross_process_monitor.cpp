@@ -31,7 +31,6 @@
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
 #include "hub/shm_pump.hpp"
-#include "hub/view.hpp"
 #include "transport/registry.hpp"
 #include "transport/shm_ingest.hpp"
 
@@ -55,6 +54,15 @@ int child_main() {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   return sink > 0 ? 0 : 1;
+}
+
+// The worker's summary in `snap`, or nullptr until the pump has seen it.
+const hb::hub::AppSummary* find_worker(const hb::hub::FleetSnapshot& snap) {
+  const hb::hub::AppSummary* found = nullptr;
+  snap.for_each_app([&found](const hb::hub::AppSummary& s) {
+    if (s.name == "worker") found = &s;
+  });
+  return found;
 }
 
 }  // namespace
@@ -81,7 +89,6 @@ int main() {
     return 1;
   }
   if (pid == 0) ::_exit(child_main());
-  hb::hub::HubView view(hub);
   hb::fault::FleetDetector fleet_detector(
       {.absolute_staleness_ns = 1000 * hb::util::kNsPerMs,
        .staleness_slack_ns = 100 * hb::util::kNsPerMs});
@@ -100,7 +107,8 @@ int main() {
   for (int s = 0; s < 40; ++s) {
     pump.poll();
     std::string hub_cell = "-,-,unseen";
-    if (const auto summary = view.app("worker")) {
+    const auto snap = hub.snapshot();
+    if (const hb::hub::AppSummary* summary = find_worker(*snap)) {
       char buf[64];
       std::snprintf(buf, sizeof(buf), "%llu,%.1f,%s",
                     static_cast<unsigned long long>(summary->total_beats),
@@ -128,7 +136,8 @@ int main() {
   std::this_thread::sleep_for(std::chrono::milliseconds(1100));
   pump.poll();
   auto reader = registry.reader("worker");
-  const auto summary = view.app("worker");
+  const auto snap = hub.snapshot();
+  const hb::hub::AppSummary* summary = find_worker(*snap);
   std::printf("final,%llu,%.1f,%s,%llu,%.1f,%s\n",
               static_cast<unsigned long long>(reader.count()),
               reader.current_rate(),

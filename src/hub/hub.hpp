@@ -13,13 +13,14 @@
 //                                ▼  flush: amortized window + histogram
 //                              per-app sliding-window summaries
 //                                ▼
-//   HubView ◀── per-app / per-tag / cluster rollups (copies, coherent)
+//   snapshot() ◀── FleetSnapshot: per-app / per-tag / cluster rollups
+//                  (immutable, coherent)
 //
 // Determinism: all timestamps flow through the hub's util::Clock, shard
-// assignment uses a fixed FNV-1a hash (not std::hash), and view queries
-// force a flush first — so a single-threaded driver under a ManualClock
-// gets bit-identical summaries on every run (the LabOps-style CI-testable
-// simulation discipline).
+// assignment uses a fixed FNV-1a hash (not std::hash), and snapshot()
+// publishes pending beats first — so a single-threaded driver under a
+// ManualClock gets bit-identical summaries on every run (the LabOps-style
+// CI-testable simulation discipline).
 #pragma once
 
 #include <atomic>
@@ -145,8 +146,8 @@ class HeartbeatHub {
   void evict(AppId id);
 
   /// Force every shard to drain its batch, age time windows, re-stamp
-  /// staleness, apply auto-eviction, and republish its snapshot. Every
-  /// HubView query does this implicitly via snapshot().
+  /// staleness, apply auto-eviction, and republish its snapshot.
+  /// snapshot() does the same implicitly (within the freshness tolerance).
   void flush();
 
   /// The read side: a coherent, epoch-stamped view of the whole fleet.
@@ -193,8 +194,9 @@ class HeartbeatHub {
   /// window_ns comparison lives on.
   const std::shared_ptr<util::Clock>& clock() const { return opts_.clock; }
 
-  /// Internal access for HubView (shards flush on query). Bounds-checked:
-  /// an AppId from a different hub throws instead of indexing wild.
+  /// One lock stripe, for its live ingest counters (HubShard::stats(),
+  /// which reports batch fill without publishing). Bounds-checked: throws
+  /// std::out_of_range for i >= shard_count().
   HubShard& shard(std::size_t i) { return *shards_.at(i); }
 
  private:

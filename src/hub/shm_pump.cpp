@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
-#include <thread>
 
 #include "hub/hub.hpp"
 #include "obs/metrics.hpp"
@@ -88,9 +86,6 @@ void ShmIngestPump::route(std::string_view app,
   AppEntry& entry = it->second;
   if (entry.pending.empty()) touched_.push_back(&entry);
   entry.pending.push_back(rec);
-  if (opts_.restamp_arrival) {
-    entry.pending.back().timestamp_ns = hub_->clock()->now();
-  }
 }
 
 std::size_t ShmIngestPump::poll() {
@@ -102,27 +97,17 @@ std::size_t ShmIngestPump::poll() {
   const std::size_t drained = queue_->drain(
       cursor_,
       [this](std::string_view app, const core::HeartbeatRecord& rec,
-             core::TargetRate target) { route(app, rec, target); },
-      opts_.max_stall_polls);
+             core::TargetRate target) { route(app, rec, target); });
   for (AppEntry* entry : touched_) {
     hub_->ingest_batch(entry->id, entry->pending);
     entry->pending.clear();
   }
   touched_.clear();
-  // Only a genuinely idle poll (cursor caught up to every stream head)
-  // feeds the backoff. A drain that returned nothing while frames are
-  // pending is BLOCKED — head-of-line slot claimed but unpublished (a
-  // producer crashed mid-batch) — and that is exactly when the loop must
-  // keep polling at the floor: the stall budget should be spent at floor
-  // pace so the committed frames queued behind the torn run reach the
-  // hub promptly.
-  if (drained == 0 && !queue_->has_frames(cursor_)) {
-    if (empty_polls_ < 31) ++empty_polls_;  // cap the shift, not the count
+  if (drained == 0) {
     metrics.empty_polls->add(1);
   } else {
-    empty_polls_ = 0;
+    metrics.records->add(drained);
   }
-  if (drained > 0) metrics.records->add(drained);
   metrics.apps->set(static_cast<std::int64_t>(apps_.size()));
   span.set_arg(drained);
   return drained;
@@ -130,56 +115,29 @@ std::size_t ShmIngestPump::poll() {
 
 bool ShmIngestPump::wait(util::TimeNs budget_ns) {
   if (budget_ns <= 0) return false;
-  using transport::ShmIngestQueue;
-  if (opts_.use_doorbell) {
-    const PumpMetrics& metrics = PumpMetrics::get();
-    const util::TimeNs timeout =
-        std::min(budget_ns, std::max<util::TimeNs>(opts_.doorbell_timeout_ns, 1));
-    switch (queue_->wait_for_frames(cursor_, timeout)) {
-      case ShmIngestQueue::WaitResult::kReady:
-        // Frames were already pending — no park happened; poll now.
-        return true;
-      case ShmIngestQueue::WaitResult::kWoken:
-        ++parks_;
-        ++doorbell_wakes_;
-        metrics.parks->add(1);
-        metrics.wakes->add(1);
-        // The wake says producers just published: restart the backoff at
-        // the floor (the satellite fix — wakes, not empty polls, are the
-        // "ring went busy" signal for anyone still consulting
-        // suggested_sleep_ns()).
-        empty_polls_ = 0;
-        if (!queue_->has_frames(cursor_)) {
-          // Signal/EINTR or a ring for frames another consumer's cursor
-          // covers — rare; count it so an unhealthy rate is visible.
-          ++spurious_wakes_;
-          metrics.spurious_wakes->add(1);
-        }
-        return true;
-      case ShmIngestQueue::WaitResult::kTimeout:
-        ++parks_;
-        ++wait_timeouts_;
-        metrics.parks->add(1);
-        metrics.wait_timeouts->add(1);
-        return false;
-      case ShmIngestQueue::WaitResult::kUnsupported:
-        break;  // fall through to the portable backoff nap
-    }
+  using Result = transport::ShmIngestQueue::WaitResult;
+  const PumpMetrics& metrics = PumpMetrics::get();
+  const util::TimeNs timeout =
+      std::min(budget_ns, std::max<util::TimeNs>(opts_.doorbell_timeout_ns, 1));
+  const Result r = queue_->wait_for_frames(cursor_, timeout);
+  // Frames were already pending — no park happened; poll now.
+  if (r == Result::kReady) return true;
+  ++parks_;
+  metrics.parks->add(1);
+  if (r == Result::kTimeout) {
+    ++wait_timeouts_;
+    metrics.wait_timeouts->add(1);
+    return false;
   }
-  std::this_thread::sleep_for(std::chrono::nanoseconds(
-      std::min(budget_ns, suggested_sleep_ns())));
-  return false;
-}
-
-util::TimeNs ShmIngestPump::suggested_sleep_ns() const {
-  const util::TimeNs floor =
-      opts_.idle_sleep_min_ns > 0 ? opts_.idle_sleep_min_ns : 1;
-  const util::TimeNs cap =
-      opts_.idle_sleep_max_ns > floor ? opts_.idle_sleep_max_ns : floor;
-  // floor << empty_polls_, saturating at the cap without overflow.
-  util::TimeNs sleep = floor;
-  for (std::uint32_t i = 0; i < empty_polls_ && sleep < cap; ++i) sleep *= 2;
-  return sleep < cap ? sleep : cap;
+  ++doorbell_wakes_;
+  metrics.wakes->add(1);
+  if (!queue_->has_frames(cursor_)) {
+    // Signal/EINTR or a ring for frames another consumer's cursor covers —
+    // rare; count it so an unhealthy rate is visible.
+    ++spurious_wakes_;
+    metrics.spurious_wakes->add(1);
+  }
+  return true;
 }
 
 ShmIngestPumpStats ShmIngestPump::stats() const {

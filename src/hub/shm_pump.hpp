@@ -12,8 +12,7 @@
 //
 // Idle behavior: wait() blocks on the ring's futex doorbell (near-zero CPU
 // while the fleet is quiet, sub-millisecond wake at the first beat), with a
-// bounded timeout and a portable fallback to the suggested_sleep_ns
-// exponential backoff when futex is unavailable. The canonical loop is
+// bounded timeout. The canonical loop is
 //
 //   for (;;) { pump.poll(); pump.wait(budget_to_next_deadline); }
 //
@@ -39,33 +38,15 @@ namespace hb::hub {
 
 class HeartbeatHub;
 
+/// Records keep their producer timestamps: same-host producers share the
+/// CLOCK_MONOTONIC epoch, so their own stamps give true rates AND
+/// comparable staleness on the hub clock.
 struct ShmIngestPumpOptions {
-  /// Replace producer timestamps with the hub clock's "now" at drain time.
-  /// Off by default: same-host producers share the CLOCK_MONOTONIC epoch,
-  /// so their own stamps give true rates AND comparable staleness. Turn on
-  /// for producers on a foreign epoch (replayed logs, ManualClock tests) —
-  /// rates then measure arrival cadence, not production cadence.
-  bool restamp_arrival = false;
-  /// Drains a claimed-but-unpublished frame may block on before the pump
-  /// skips it as torn (crashed producer). Forwarded to
-  /// transport::ShmIngestQueue::drain.
-  std::uint32_t max_stall_polls = 3;
   /// Consume the ring's full retained backlog (up to capacity frames per
   /// stream) instead of starting at the current heads. Off by default: a
   /// live monitor wants beats produced while it watches, not a replay of
   /// whatever a previous session left in the ring.
   bool from_start = false;
-  /// Idle-backoff floor for suggested_sleep_ns(): the sleep after a poll
-  /// that drained records (the ring is busy — stay close).
-  util::TimeNs idle_sleep_min_ns = 1 * util::kNsPerMs;
-  /// Idle-backoff cap: consecutive empty polls double the suggestion from
-  /// the floor up to this bound (a quiet ring costs ~1 wakeup per cap
-  /// interval instead of a busy-spin). Clamped to >= idle_sleep_min_ns.
-  util::TimeNs idle_sleep_max_ns = 64 * util::kNsPerMs;
-  /// Block on the ring's futex doorbell in wait() instead of sleeping the
-  /// backoff schedule. Ignored (with automatic fallback) on platforms
-  /// without futex.
-  bool use_doorbell = true;
   /// Longest single doorbell block. This bounds the missed-wake window the
   /// producers' relaxed parked-check admits AND doubles as a liveness
   /// heartbeat for the poll loop; it is NOT a staleness bound (a beat rings
@@ -105,23 +86,11 @@ class ShmIngestPump {
   /// ingested. Returns the number of records ingested by this call.
   std::size_t poll();
 
-  /// Sleep until there is (likely) work, for at most `budget_ns`: the
-  /// doorbell block when available (clamped to doorbell_timeout_ns), else
-  /// a suggested_sleep_ns backoff nap. Returns true when frames are (or
-  /// are likely) pending — callers poll() immediately; false means the
-  /// budget or timeout lapsed quietly. A doorbell wake resets the idle
-  /// backoff, so fallback pollers resume at the floor after real work.
+  /// Block on the ring's doorbell until a producer publishes, for at most
+  /// `budget_ns` (clamped to doorbell_timeout_ns). Returns true when
+  /// frames are (or are likely) pending — callers poll() immediately;
+  /// false means the budget or timeout lapsed quietly.
   bool wait(util::TimeNs budget_ns);
-
-  /// How long the poll loop should sleep before the next poll(): the
-  /// idle-backoff schedule. idle_sleep_min_ns right after a poll that
-  /// drained records (or a doorbell wake), doubling per consecutive empty
-  /// poll up to idle_sleep_max_ns — so a busy ring is drained promptly and
-  /// a quiet one stops being busy-spun. Purely advisory; the pump never
-  /// sleeps in poll() (callers own their loop and may cap this further,
-  /// e.g. to a sweep deadline). Loops should prefer wait(), which blocks
-  /// on the doorbell and only falls back to this schedule.
-  util::TimeNs suggested_sleep_ns() const;
 
   ShmIngestPumpStats stats() const;
 
@@ -148,7 +117,6 @@ class ShmIngestPump {
 
   transport::ShmIngestQueue::Cursor cursor_;
   std::uint64_t polls_ = 0;
-  std::uint32_t empty_polls_ = 0;  ///< consecutive polls that drained nothing
   std::uint64_t parks_ = 0;
   std::uint64_t doorbell_wakes_ = 0;
   std::uint64_t spurious_wakes_ = 0;

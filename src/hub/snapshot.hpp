@@ -13,7 +13,7 @@
 //   HeartbeatHub::snapshot() ──▶ FleetSnapshot (composed, cached)
 //                                        │ rebuilt only when some shard's
 //                                        ▼ epoch advanced
-//   HubView / FleetDetector / GlobalScheduler / PolicyEngine / hbmon
+//   FleetDetector / GlobalScheduler / PolicyEngine / CloudSim / hbmon
 //
 // Invariants:
 //   * A ShardSnapshot is immutable after publication. Readers never hold a
@@ -139,8 +139,8 @@ class FleetSnapshot {
   }
 
   /// Live (non-evicted) apps sorted by name. Built at most ONCE per
-  /// snapshot, on first use, then reused — repeated HubView::apps() calls
-  /// between flushes stopped paying an O(n log n) sort when this landed.
+  /// snapshot, on first use, then reused — repeated listings between
+  /// flushes never pay the O(n log n) sort twice.
   const std::vector<AppSummary>& apps_sorted() const;
 
  private:

@@ -17,10 +17,10 @@
 //   hbmon fleet --watch [-d run_ms] [-i poll_ms] [-s dead_ms] [-p sweep_ms]
 //                                      # continuous decide loop: stream policy
 //                                      # events until SIGINT/SIGTERM (-d 0)
-//   hbmon metrics [--json] [-d run_ms] [-i poll_ms]
+//   hbmon metrics [--json] [-d run_ms]
 //                                      # run the live pipeline briefly, then
 //                                      # dump the self-telemetry registry
-//   hbmon trace [-o trace.json] [-d run_ms] [-i poll_ms]
+//   hbmon trace [-o trace.json] [-d run_ms]
 //                                      # same, exporting the stage-span ring
 //                                      # as Chrome trace-event JSON
 //   hbmon timeline [-d run_ms] [-i poll_ms] [-p sweep_ms]
@@ -40,6 +40,10 @@
 //                                      # --capture arms the PostmortemSink
 //                                      # (bundle bytes are seed-stable too).
 //                                      # exit 0 ok / 4 invariant violation
+//
+// In the ring-fed modes, -i poll_ms sets only the detector's staleness
+// slack (how old a beat may be before the pump delivers it); the pump
+// itself parks on the ring's doorbell and wakes at the first beat.
 //
 // Fleet modes accept --metrics to append the registry table after the
 // verdict table. The ring-fed modes (--live, --watch, metrics, trace) run
@@ -70,7 +74,6 @@
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
 #include "hub/shm_pump.hpp"
-#include "hub/view.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/postmortem.hpp"
@@ -96,15 +99,16 @@ int usage() {
                "[-s dead_ms] [--metrics]\n"
                "       hbmon fleet --watch [-d run_ms] [-i poll_ms] "
                "[-s dead_ms] [-p sweep_ms] [--metrics]\n"
-               "       hbmon metrics [--json] [-d run_ms] [-i poll_ms]\n"
-               "       hbmon trace [-o trace.json] [-d run_ms] "
-               "[-i poll_ms]\n"
+               "       hbmon metrics [--json] [-d run_ms]\n"
+               "       hbmon trace [-o trace.json] [-d run_ms]\n"
                "       hbmon timeline [-d run_ms] [-i poll_ms] [-p sweep_ms] "
                "[--since ms] [--app NAME] [--json]\n"
                "       hbmon postmortem [--list | <id>] [--dir DIR]\n"
                "       hbmon scenario --list\n"
                "       hbmon scenario <name> [--seed N] [--perf] "
-               "[--json] [--capture DIR]\n");
+               "[--json] [--capture DIR]\n"
+               "  -i poll_ms (ring-fed modes): staleness slack for the "
+               "detector\n");
   return 2;
 }
 
@@ -362,19 +366,18 @@ int cmd_fleet(const hb::transport::Registry& registry, int dead_ms,
   hb::fault::FleetDetector detector(
       {.absolute_staleness_ns =
            static_cast<hb::util::TimeNs>(dead_ms) * 1000000});
-  hb::fault::FleetReport report = detector.sweep(hb::hub::HubView(hub));
+  hb::fault::FleetReport report = detector.sweep(hub.snapshot());
   const int code = hb::fault::print_fleet_report(stdout, report);
   print_snapshot_footer(hub, report.snapshot_epoch);
   maybe_print_metrics_footer(metrics);
   return code;
 }
 
-// Shared wiring for the ring-fed fleet modes (--live, --watch): the ingest
-// queue at the registry's well-known path, a hub on the producers'
-// monotonic epoch, an adaptively polled pump (floor 1 ms behind a busy
-// ring, backing off to poll_ms while it is quiet), and a detector whose
-// staleness slack discounts transport lag — a beat can be one poll
-// interval old before the pump sees it, plus the producer-side batch
+// Shared wiring for the ring-fed modes (fleet --live/--watch, metrics,
+// trace, timeline): the ingest queue at the registry's well-known path, a
+// hub on the producers' monotonic epoch, a pump that parks on the ring's
+// doorbell, and a detector whose staleness slack discounts transport lag —
+// poll_ms (the -i flag, its only effect) plus the producer-side batch
 // hold. One function, so the slack formula can never diverge between the
 // modes. Sweeps read the hub's published FleetSnapshot: the detector never
 // holds a stripe lock across summary copies, so a sweep can never block
@@ -401,12 +404,7 @@ LivePipeline make_live_pipeline(const hb::transport::Registry& registry,
   // process reads as "__hub/self" going stale in the very table it serves.
   opts.self_beat = true;
   p.hub = std::make_shared<hb::hub::HeartbeatHub>(opts);
-  p.pump = std::make_unique<hb::hub::ShmIngestPump>(
-      p.queue, p.hub,
-      hb::hub::ShmIngestPumpOptions{
-          .idle_sleep_min_ns = hb::util::kNsPerMs,
-          .idle_sleep_max_ns =
-              static_cast<hb::util::TimeNs>(poll_ms) * hb::util::kNsPerMs});
+  p.pump = std::make_unique<hb::hub::ShmIngestPump>(p.queue, p.hub);
   p.detector = hb::fault::FleetDetector(
       {.absolute_staleness_ns =
            static_cast<hb::util::TimeNs>(dead_ms) * hb::util::kNsPerMs,
@@ -414,6 +412,36 @@ LivePipeline make_live_pipeline(const hb::transport::Registry& registry,
            static_cast<hb::util::TimeNs>(poll_ms) * hb::util::kNsPerMs +
            hb::transport::ShmHubSinkOptions{}.max_hold_ns});
   return p;
+}
+
+// The poll loop every ring-fed mode shares: drain the ring, run `tick`
+// every period_ms, and park on the doorbell until the next tick or the
+// deadline — a quiet fleet costs ~0 CPU, a beat wakes the pump at once.
+// Runs for run_ms, or until SIGINT/SIGTERM when run_ms <= 0, then drains
+// once more so the caller's final sweep sees everything. A stalled process
+// (SIGSTOP, laptop sleep) can fall many periods behind; it skips the
+// missed ticks rather than bursting through them — each tick reads
+// current state, so replays add nothing.
+template <typename Tick>
+void run_live_loop(LivePipeline& p, int run_ms, int period_ms, Tick tick) {
+  using Clock = std::chrono::steady_clock;
+  const auto period = std::chrono::milliseconds(period_ms);
+  const auto start = Clock::now();
+  const auto deadline = run_ms > 0 ? start + std::chrono::milliseconds(run_ms)
+                                   : Clock::time_point::max();
+  auto next_tick = start + period;
+  while (!g_stop && Clock::now() < deadline) {
+    p.pump->poll();
+    if (Clock::now() >= next_tick) {
+      tick();
+      next_tick += period;
+      if (next_tick < Clock::now()) next_tick = Clock::now() + period;
+    }
+    const auto budget = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::min(next_tick, deadline) - Clock::now());
+    p.pump->wait(budget.count());
+  }
+  p.pump->poll();
 }
 
 // Sweep LIVE producers: external processes publish beats into the fleet
@@ -425,27 +453,10 @@ int cmd_fleet_live(const hb::transport::Registry& registry, int run_ms,
   if (run_ms <= 0) run_ms = 2000;
   if (poll_ms <= 0) poll_ms = 50;
   LivePipeline p = make_live_pipeline(registry, poll_ms, dead_ms);
-
-  using Clock = std::chrono::steady_clock;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(run_ms);
   // Pulse the hub's snapshot path during the run: each pulse publishes the
   // shards AND fires the self heartbeat, so by the final sweep
   // "__hub/self" has a cadence to be judged on instead of one lone beat.
-  auto next_pulse = Clock::now() + std::chrono::milliseconds(250);
-  while (Clock::now() < deadline) {
-    p.pump->poll();
-    if (Clock::now() >= next_pulse) {
-      p.hub->snapshot();
-      next_pulse += std::chrono::milliseconds(250);
-    }
-    // Park on the ring's doorbell until the next pulse or the deadline,
-    // whichever is sooner: a quiet fleet costs ~0 CPU, a beat wakes the
-    // pump immediately.
-    const auto budget = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::min(next_pulse, deadline) - Clock::now());
-    p.pump->wait(budget.count());
-  }
-  p.pump->poll();  // final drain so the sweep sees everything
+  run_live_loop(p, run_ms, 250, [&p] { p.hub->snapshot(); });
 
   const auto stats = p.pump->stats();
   std::fprintf(stderr, "live: %llu beats from %llu producers via %s\n",
@@ -462,8 +473,7 @@ int cmd_fleet_live(const hb::transport::Registry& registry, int run_ms,
     return 0;
   }
 
-  hb::fault::FleetReport report =
-      p.detector.sweep(hb::hub::HubView(*p.hub));
+  hb::fault::FleetReport report = p.detector.sweep(p.hub->snapshot());
   const int code = hb::fault::print_fleet_report(stdout, report);
   print_transport_footer(stats);
   print_snapshot_footer(*p.hub, report.snapshot_epoch);
@@ -471,7 +481,7 @@ int cmd_fleet_live(const hb::transport::Registry& registry, int run_ms,
   return code;
 }
 
-// Continuous observe-decide loop over the live ring: pump adaptively, run a
+// Continuous observe-decide loop over the live ring: pump the ring, run a
 // FleetDetector sweep every sweep_ms, and stream the PolicyEngine's
 // edge-triggered events (transitions, correlated failures, flap
 // quarantines) to stdout as they happen — level-triggered spam is exactly
@@ -517,37 +527,15 @@ int cmd_fleet_watch(const hb::transport::Registry& registry, int run_ms,
                p.queue->file().c_str(), sweep_ms,
                run_ms > 0 ? "bounded run" : "until SIGINT/SIGTERM");
 
-  using Clock = std::chrono::steady_clock;
-  const auto start = Clock::now();
-  const auto deadline = start + std::chrono::milliseconds(run_ms);
-  auto next_sweep = start + std::chrono::milliseconds(sweep_ms);
-  hb::fault::FleetReport report;
-  while (!g_stop && (run_ms <= 0 || Clock::now() < deadline)) {
-    p.pump->poll();
-    if (Clock::now() >= next_sweep) {
-      report = p.detector.sweep(hb::hub::HubView(*p.hub));
-      recorder->record_report(report);
-      engine.observe(report);
-      next_sweep += std::chrono::milliseconds(sweep_ms);
-      // A stalled process (SIGSTOP, laptop sleep) can fall many intervals
-      // behind; skip the missed ones rather than burst-sweeping to catch
-      // up — each sweep reads current state, so replays add nothing.
-      if (next_sweep < Clock::now()) {
-        next_sweep = Clock::now() + std::chrono::milliseconds(sweep_ms);
-      }
-    }
-    // Park on the doorbell, but never past the next sweep: the futex wake
-    // bounds ingest latency while the sweep deadline bounds the park.
-    const auto until_sweep =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(next_sweep -
-                                                             Clock::now());
-    p.pump->wait(until_sweep.count());
-  }
-
-  p.pump->poll();  // final drain: the exit table reflects everything
-  report = p.detector.sweep(hb::hub::HubView(*p.hub));
-  recorder->record_report(report);
-  engine.observe(report);
+  auto sweep = [&] {
+    hb::fault::FleetReport report = p.detector.sweep(p.hub->snapshot());
+    recorder->record_report(report);
+    engine.observe(report);
+    return report;
+  };
+  run_live_loop(p, run_ms, sweep_ms, sweep);
+  // The exit table reflects everything the final drain delivered.
+  const hb::fault::FleetReport report = sweep();
   std::printf("\n");
   const int code = hb::fault::print_fleet_report(stdout, report);
   print_transport_footer(p.pump->stats());
@@ -582,32 +570,18 @@ int cmd_fleet_watch(const hb::transport::Registry& registry, int run_ms,
 // for run_ms — pumping the ring, pulsing snapshots, and closing the loop
 // with one detector sweep + policy observe — so every stage's instrument
 // sites have fired at least once by the time we dump the registry or ring.
-void run_pipeline_briefly(const hb::transport::Registry& registry, int run_ms,
-                          int poll_ms) {
-  LivePipeline p = make_live_pipeline(registry, poll_ms, 5000);
+void run_pipeline_briefly(const hb::transport::Registry& registry,
+                          int run_ms) {
+  LivePipeline p = make_live_pipeline(registry, /*poll_ms=*/50, 5000);
   hb::policy::PolicyEngine engine;
-  using Clock = std::chrono::steady_clock;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(run_ms);
-  auto next_pulse = Clock::now() + std::chrono::milliseconds(100);
-  while (Clock::now() < deadline) {
-    p.pump->poll();
-    if (Clock::now() >= next_pulse) {
-      p.hub->snapshot();
-      next_pulse += std::chrono::milliseconds(100);
-    }
-    const auto budget = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::min(next_pulse, deadline) - Clock::now());
-    p.pump->wait(budget.count());
-  }
-  p.pump->poll();
-  engine.observe(p.detector.sweep(hb::hub::HubView(*p.hub)));
+  run_live_loop(p, run_ms, 100, [&p] { p.hub->snapshot(); });
+  engine.observe(p.detector.sweep(p.hub->snapshot()));
 }
 
 int cmd_metrics(const hb::transport::Registry& registry, int run_ms,
-                int poll_ms, bool json) {
+                bool json) {
   if (run_ms <= 0) run_ms = 500;
-  if (poll_ms <= 0) poll_ms = 50;
-  run_pipeline_briefly(registry, run_ms, poll_ms);
+  run_pipeline_briefly(registry, run_ms);
   const hb::obs::MetricsSnapshot snap =
       hb::obs::MetricsRegistry::global().snapshot();
   if (json) {
@@ -619,10 +593,9 @@ int cmd_metrics(const hb::transport::Registry& registry, int run_ms,
 }
 
 int cmd_trace(const hb::transport::Registry& registry, int run_ms,
-              int poll_ms, const char* out_path) {
+              const char* out_path) {
   if (run_ms <= 0) run_ms = 500;
-  if (poll_ms <= 0) poll_ms = 50;
-  run_pipeline_briefly(registry, run_ms, poll_ms);
+  run_pipeline_briefly(registry, run_ms);
   const auto& ring = hb::obs::TraceRing::global();
   std::FILE* out = std::strcmp(out_path, "-") == 0
                        ? stdout
@@ -674,27 +647,13 @@ int cmd_timeline(const hb::transport::Registry& registry, int run_ms,
   // Anchor rendered stamps to the start of the run (event times live on
   // the hub's monotonic clock — machine uptime — which nobody wants raw).
   const hb::util::TimeNs base_ns = p.hub->clock()->now();
-  using Clock = std::chrono::steady_clock;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(run_ms);
-  auto next_sweep = Clock::now() + std::chrono::milliseconds(sweep_ms);
-  while (Clock::now() < deadline) {
-    p.pump->poll();
-    if (Clock::now() >= next_sweep) {
-      const hb::fault::FleetReport report =
-          p.detector.sweep(hb::hub::HubView(*p.hub));
-      recorder->record_report(report);
-      engine.observe(report);
-      next_sweep += std::chrono::milliseconds(sweep_ms);
-    }
-    const auto budget = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::min(next_sweep, deadline) - Clock::now());
-    p.pump->wait(budget.count());
-  }
-  p.pump->poll();
-  const hb::fault::FleetReport last =
-      p.detector.sweep(hb::hub::HubView(*p.hub));
-  recorder->record_report(last);
-  engine.observe(last);
+  auto sweep = [&] {
+    const hb::fault::FleetReport report = p.detector.sweep(p.hub->snapshot());
+    recorder->record_report(report);
+    engine.observe(report);
+  };
+  run_live_loop(p, run_ms, sweep_ms, sweep);
+  sweep();
 
   hb::util::TimeNs since_ns = 0;
   if (since_ms > 0) {
@@ -1010,12 +969,10 @@ int main(int argc, char** argv) {
     if (cmd == "list") return cmd_list(registry);
     if (cmd == "metrics") {
       return cmd_metrics(registry, parse_flag(argc, argv, "-d", 500),
-                         parse_flag(argc, argv, "-i", 50),
                          has_flag(argc, argv, "--json"));
     }
     if (cmd == "trace") {
       return cmd_trace(registry, parse_flag(argc, argv, "-d", 500),
-                       parse_flag(argc, argv, "-i", 50),
                        parse_sflag(argc, argv, "-o", "trace.json"));
     }
     if (cmd == "timeline") {

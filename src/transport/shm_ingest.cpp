@@ -8,10 +8,8 @@
 
 #include <sys/file.h>
 
-#if defined(__linux__)
 #include <linux/futex.h>
 #include <sys/syscall.h>
-#endif
 
 #include <bit>
 #include <cerrno>
@@ -98,10 +96,6 @@ std::size_t fit_name(std::string_view app, char out[kIngestNameCap]) {
 // std::atomic<u32> is address-free (static_assert in the header), so its
 // storage can be handed to the kernel directly.
 
-#if defined(__linux__)
-
-constexpr bool kFutexAvailable = true;
-
 long futex_call(std::atomic<std::uint32_t>* word, int op, std::uint32_t val,
                 const timespec* ts) {
   return ::syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(word), op, val,
@@ -126,17 +120,6 @@ bool futex_wait(std::atomic<std::uint32_t>* word, std::uint32_t expected,
 void futex_wake_all(std::atomic<std::uint32_t>* word) {
   futex_call(word, FUTEX_WAKE, INT_MAX, nullptr);
 }
-
-#else  // !__linux__
-
-constexpr bool kFutexAvailable = false;
-
-bool futex_wait(std::atomic<std::uint32_t>*, std::uint32_t, util::TimeNs) {
-  return false;
-}
-void futex_wake_all(std::atomic<std::uint32_t>*) {}
-
-#endif
 
 /// True when the pid half of a lane owner token names a process that no
 /// longer exists (ESRCH). EPERM means "alive but not ours" — NOT dead.
@@ -382,8 +365,6 @@ const ShmIngestSlot* ShmIngestQueue::lane_slots(std::uint32_t lane) const {
 
 // ---------------------------------------------------------------- doorbell
 
-bool ShmIngestQueue::doorbell_supported() { return kFutexAvailable; }
-
 void ShmIngestQueue::ring_doorbell() {
   ShmIngestHeader* hdr = header();
   // relaxed: advisory fast-path check. A consumer parking concurrently
@@ -400,7 +381,6 @@ void ShmIngestQueue::ring_doorbell() {
 
 ShmIngestQueue::WaitResult ShmIngestQueue::wait_for_frames(
     const Cursor& cur, util::TimeNs timeout_ns) {
-  if (!kFutexAvailable) return WaitResult::kUnsupported;
   if (timeout_ns <= 0) timeout_ns = 1;
   ShmIngestHeader* hdr = header();
   // Sample the generation BEFORE the work check: a ring that lands after
@@ -631,8 +611,7 @@ ShmIngestQueue::Cursor ShmIngestQueue::tail_cursor() const {
 std::size_t ShmIngestQueue::drain_stream(const ShmIngestSlot* arr,
                                          std::uint64_t cap, std::uint64_t head,
                                          StreamCursor& sc, bool lane,
-                                         Cursor& totals, const DrainFn& fn,
-                                         std::uint32_t max_stall_polls) {
+                                         Cursor& totals, const DrainFn& fn) {
   // Producers lapped this consumer before it even looked: everything below
   // head - capacity is gone (its slots now belong to newer seqs).
   if (head > sc.next + cap) {
@@ -701,9 +680,9 @@ std::size_t ShmIngestQueue::drain_stream(const ShmIngestSlot* arr,
     }
     // commit == 0 or a previous lap's value: the producer that claimed
     // this seq has not published yet — in flight, or dead mid-batch. Give
-    // it max_stall_polls drains, then skip the slot (and the rest of its
-    // uncommitted run) for good.
-    if (skipping_run || sc.stalls >= max_stall_polls) {
+    // it kIngestMaxStallDrains drains, then skip the slot (and the rest of
+    // its uncommitted run) for good.
+    if (skipping_run || sc.stalls >= kIngestMaxStallDrains) {
       ++totals.torn;
       ++sc.next;
       sc.stalls = 0;
@@ -716,8 +695,7 @@ std::size_t ShmIngestQueue::drain_stream(const ShmIngestSlot* arr,
   return delivered;
 }
 
-std::size_t ShmIngestQueue::drain(Cursor& cur, const DrainFn& fn,
-                                  std::uint32_t max_stall_polls) {
+std::size_t ShmIngestQueue::drain(Cursor& cur, const DrainFn& fn) {
   // Mirror the cursor's per-drain deltas into the process-wide registry on
   // exit (one add per counter per drain, not per record).
   const std::uint64_t dropped_before = cur.dropped;
@@ -727,14 +705,14 @@ std::size_t ShmIngestQueue::drain(Cursor& cur, const DrainFn& fn,
   std::size_t delivered =
       drain_stream(slots(), capacity_,
                    header()->head.load(std::memory_order_acquire), cur.main,
-                   /*lane=*/false, cur, fn, max_stall_polls);
+                   /*lane=*/false, cur, fn);
 
   const ShmIngestLane* lanes = lane_headers();
   for (std::uint32_t i = 0; i < lane_count_; ++i) {
     const std::uint64_t lh = lanes[i].head.load(std::memory_order_acquire);
     if (lh == cur.lanes[i].next) continue;
     delivered += drain_stream(lane_slots(i), lane_capacity_, lh, cur.lanes[i],
-                              /*lane=*/true, cur, fn, max_stall_polls);
+                              /*lane=*/true, cur, fn);
   }
 
   const ShmMetrics& metrics = ShmMetrics::get();
@@ -770,7 +748,7 @@ ShmHubSink::ShmHubSink(std::shared_ptr<core::BeatStore> inner,
       opts_(opts) {
   if (opts_.flush_every == 0) opts_.flush_every = 1;
   buf_.reserve(opts_.flush_every);
-  if (opts_.use_fast_lane) lane_ = queue_->claim_lane();
+  lane_ = queue_->claim_lane();
 }
 
 ShmHubSink::~ShmHubSink() {

@@ -17,7 +17,7 @@
 //     ShmHubSink's flush_every/max_hold_ns) move several beats per claim.
 //   * FUTEX DOORBELL — two words in the header (doorbell generation +
 //     parked count) let the consumer block in the kernel instead of
-//     backoff-polling. Producers ring only when a consumer is parked
+//     polling. Producers ring only when a consumer is parked
 //     (one relaxed load on the hot path). See wait_for_frames().
 //   * SPSC FAST LANES — a small array of per-producer lanes, claimed by
 //     CAS on an owner word, whose single writer publishes frames with a
@@ -44,7 +44,7 @@
 //     the copy accepts a frame; commit from a later lap means the frame
 //     was overwritten (counted as dropped); commit still missing means
 //     the claiming producer is in flight — or crashed mid-batch. After
-//     `max_stall_polls` drains blocked on the same slot the consumer
+//     kIngestMaxStallDrains drains blocked on the same slot the consumer
 //     skips it (counted as torn), so a producer that dies between claim
 //     and publish can never wedge the fleet pipeline.
 //
@@ -101,6 +101,10 @@ inline constexpr std::uint32_t kIngestLanes = 8;
 /// Default frames per lane ring. Lanes absorb one producer's burst between
 /// consumer passes; they do not need the shared ring's full depth.
 inline constexpr std::uint32_t kIngestDefaultLaneCapacity = 256;
+
+/// Consecutive drain() calls a claimed-but-unpublished frame may block its
+/// stream before the consumer skips it as torn (crashed producer).
+inline constexpr std::uint32_t kIngestMaxStallDrains = 3;
 
 struct ShmIngestHeader {
   /// Stored LAST during create() (release), checked first by attach()
@@ -304,14 +308,13 @@ class ShmIngestQueue {
 
   /// Drain every committed frame in [cursor, head) of the shared ring and
   /// every lane, in per-stream ring order. Stops early (per stream) at an
-  /// in-flight slot; after the same slot has blocked `max_stall_polls`
+  /// in-flight slot; after the same slot has blocked kIngestMaxStallDrains
   /// consecutive drains it — and the contiguous run of uncommitted slots
   /// behind it, which is almost certainly the same crashed producer's
   /// claimed batch — is skipped and counted in Cursor::torn. Frames lapped
   /// by producers are counted in Cursor::dropped, never delivered torn.
   /// Returns records delivered.
-  std::size_t drain(Cursor& cur, const DrainFn& fn,
-                    std::uint32_t max_stall_polls = 3);
+  std::size_t drain(Cursor& cur, const DrainFn& fn);
 
   /// A cursor positioned at the current heads of every stream (the
   /// "ignore the retained backlog, watch from now" starting point).
@@ -323,10 +326,9 @@ class ShmIngestQueue {
   // -------------------------------------------------------------- doorbell
 
   enum class WaitResult {
-    kReady,        ///< frames were already pending; did not block
-    kWoken,        ///< a producer rang the doorbell (or a signal arrived)
-    kTimeout,      ///< timeout_ns elapsed with no ring
-    kUnsupported,  ///< no futex on this platform; caller must backoff-poll
+    kReady,    ///< frames were already pending; did not block
+    kWoken,    ///< a producer rang the doorbell (or a signal arrived)
+    kTimeout,  ///< timeout_ns elapsed with no ring
   };
 
   /// Block until a producer publishes frames, for at most `timeout_ns`.
@@ -338,9 +340,6 @@ class ShmIngestQueue {
   /// publish + check completing entirely inside the consumer's park
   /// window). See ARCHITECTURE.md "The ingest fast path".
   WaitResult wait_for_frames(const Cursor& cur, util::TimeNs timeout_ns);
-
-  /// True when wait_for_frames can actually block (futex available).
-  static bool doorbell_supported();
 
   /// Total doorbell rings producers have performed (diagnostic).
   std::uint64_t doorbell_rings() const;
@@ -385,8 +384,7 @@ class ShmIngestQueue {
   /// delivered; updates the stream cursor and the cursor-wide totals.
   std::size_t drain_stream(const ShmIngestSlot* arr, std::uint64_t cap,
                            std::uint64_t head, StreamCursor& sc, bool lane,
-                           Cursor& totals, const DrainFn& fn,
-                           std::uint32_t max_stall_polls);
+                           Cursor& totals, const DrainFn& fn);
 
   std::filesystem::path file_;
   void* base_ = nullptr;
@@ -415,11 +413,6 @@ struct ShmHubSinkOptions {
   /// down cannot sit on a partial batch and read as stale hub-side.
   /// Checked at append time; only meaningful with flush_every > 1.
   util::TimeNs max_hold_ns = 50 * util::kNsPerMs;
-  /// Claim an SPSC fast lane at construction and publish through it
-  /// (falling back to the shared ring when every lane is held by a live
-  /// producer). On by default: lane publishes skip the contended MPSC
-  /// fetch_add entirely.
-  bool use_fast_lane = true;
 };
 
 /// ShmHubSink: mirror a producer's beats into a cross-process ingest ring.
@@ -430,6 +423,9 @@ struct ShmHubSinkOptions {
 /// wrapped store (which keeps serving in-process rate queries and, if it
 /// is a registry ShmStore, stays observer-walkable) and are batched into
 /// the ring with the store-assigned sequence number and current target.
+/// Each sink claims an SPSC fast lane at construction and publishes through
+/// it, skipping the contended MPSC fetch_add; once every lane is held by a
+/// live producer, further sinks publish on the shared ring.
 class ShmHubSink final : public core::BeatStore {
  public:
   /// Mirrors appends on `inner` into `queue` under name `app`.

@@ -306,9 +306,6 @@ TEST(ConcurrencyStress, ShmRingProducersVsConsumerConservation) {
 // consumed). Producers alternate the shared MPSC ring and SPSC fast lanes
 // so both publish paths race the park decision.
 TEST(ConcurrencyStress, ShmRingParkWakeDrill) {
-  if (!transport::ShmIngestQueue::doorbell_supported()) {
-    GTEST_SKIP() << "no futex on this platform";
-  }
   constexpr std::size_t kProducers = 4;
   const std::size_t beats_per_producer = scaled(4000);
   const auto total = kProducers * beats_per_producer;
@@ -358,13 +355,18 @@ TEST(ConcurrencyStress, ShmRingParkWakeDrill) {
   };
   // The consumer parks EVERY time the ring looks empty — maximum exposure
   // of the park window to racing publishes. The 5ms timeout keeps a
-  // genuinely missed wake from stalling the drill. The stall budget is
-  // effectively infinite: every producer is a live thread that will
-  // finish its publish, so a frame must never be torn off by scheduler
-  // preemption — exact conservation is the point of the drill.
-  constexpr std::uint32_t kNoTearing = 1u << 20;
+  // genuinely missed wake from stalling the drill. Tearing is out of
+  // scope: every producer is a live thread that will finish its publish,
+  // so clearing the shared ring's stall credit before each drain keeps a
+  // preempted producer's frame from being skipped after
+  // kIngestMaxStallDrains drains — exact conservation is the point of the
+  // drill. (Lanes advertise only committed frames and never stall.)
+  const auto drain_untorn = [&] {
+    cur.main.stalls = 0;
+    queue->drain(cur, sink);
+  };
   for (;;) {
-    queue->drain(cur, sink, kNoTearing);
+    drain_untorn();
     if (producers_done.load(std::memory_order_acquire) == kProducers &&
         !queue->has_frames(cur)) {
       break;
@@ -372,7 +374,7 @@ TEST(ConcurrencyStress, ShmRingParkWakeDrill) {
     queue->wait_for_frames(cur, 5 * util::kNsPerMs);
   }
   for (std::thread& t : threads) t.join();
-  queue->drain(cur, sink, kNoTearing);
+  drain_untorn();
 
   // Nothing could drop, so the books must balance to the record.
   EXPECT_EQ(delivered, total);

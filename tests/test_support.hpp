@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -57,6 +58,13 @@ inline hub::HubOptions manual_hub_opts(
   opts.window_capacity = window;
   opts.clock = std::move(clock);
   return opts;
+}
+
+/// One app's summary in the hub's current FleetSnapshot (publishing pending
+/// beats first), copied out. Throws std::out_of_range for an unknown name.
+inline hub::AppSummary app_summary(hub::HeartbeatHub& hub,
+                                   const std::string& name) {
+  return *hub.snapshot()->find(hub.id_of(name));
 }
 
 /// Beat every listed app once per round, advancing the virtual clock by

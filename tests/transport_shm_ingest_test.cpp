@@ -22,7 +22,6 @@
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
 #include "hub/shm_pump.hpp"
-#include "hub/view.hpp"
 #include "transport/registry.hpp"
 #include "transport/shm_ingest.hpp"
 #include "util/clock.hpp"
@@ -46,16 +45,12 @@ struct Drained {
   core::TargetRate target;
 };
 
-std::vector<Drained> drain_all(ShmIngestQueue& q, ShmIngestQueue::Cursor& cur,
-                               std::uint32_t max_stall = 3) {
+std::vector<Drained> drain_all(ShmIngestQueue& q, ShmIngestQueue::Cursor& cur) {
   std::vector<Drained> out;
-  q.drain(
-      cur,
-      [&out](std::string_view app, const core::HeartbeatRecord& rec,
-             core::TargetRate target) {
-        out.push_back({std::string(app), rec, target});
-      },
-      max_stall);
+  q.drain(cur, [&out](std::string_view app, const core::HeartbeatRecord& rec,
+                      core::TargetRate target) {
+    out.push_back({std::string(app), rec, target});
+  });
   return out;
 }
 
@@ -180,15 +175,17 @@ TEST_F(ShmIngestTest, CrashedProducerSlotSkippedAfterStallBudget) {
   ShmIngestQueue::Cursor cur;
   // Drain 1: the two published records come through, then the torn slot
   // blocks progress.
-  auto out = drain_all(*q, cur, /*max_stall=*/2);
+  auto out = drain_all(*q, cur);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(cur.main.stalls, 1u);
-  // Drain 2: still blocked.
-  EXPECT_TRUE(drain_all(*q, cur, 2).empty());
-  EXPECT_EQ(cur.main.stalls, 2u);
-  // Drain 3: stall budget exhausted — both torn slots are skipped and the
-  // live producer's record is delivered. The consumer never wedges.
-  out = drain_all(*q, cur, 2);
+  // Further drains stay blocked until the stall budget is spent.
+  for (std::uint32_t d = 2; d <= kIngestMaxStallDrains; ++d) {
+    EXPECT_TRUE(drain_all(*q, cur).empty());
+    EXPECT_EQ(cur.main.stalls, d);
+  }
+  // Next drain: stall budget exhausted — both torn slots are skipped and
+  // the live producer's record is delivered. The consumer never wedges.
+  out = drain_all(*q, cur);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].app, "live");
   EXPECT_EQ(out[0].rec.tag, 7u);
@@ -248,47 +245,22 @@ TEST_F(ShmIngestTest, IndependentConsumersSeeTheFullStream) {
   EXPECT_EQ(drain_all(*q, c2).size(), 5u);  // non-destructive reads
 }
 
-TEST_F(ShmIngestTest, PumpSuggestsIdleBackoffSleeps) {
-  // The adaptive poll schedule: a pump that keeps draining nothing should
-  // suggest exponentially longer sleeps (up to the cap) so a quiet ring is
-  // not busy-spun; one drained record snaps it back to the floor.
+TEST_F(ShmIngestTest, PumpSkipsTornSlotAfterStallBudget) {
+  // A producer claims a slot and dies unpublished with a live record queued
+  // behind it. Polls return 0 while the stall budget burns; then the pump
+  // skips the torn slot and the record behind the crash reaches the hub.
   auto q = ShmIngestQueue::create(file(), 32);
   hub::HeartbeatHub hub;
-  hub::ShmIngestPump pump(q, hub,
-                          {.max_stall_polls = 2,
-                           .idle_sleep_min_ns = 1 * kNsPerMs,
-                           .idle_sleep_max_ns = 8 * kNsPerMs});
+  hub::ShmIngestPump pump(q, hub);
 
-  EXPECT_EQ(pump.suggested_sleep_ns(), 1 * kNsPerMs);  // nothing seen yet
-  EXPECT_EQ(pump.poll(), 0u);
-  EXPECT_EQ(pump.suggested_sleep_ns(), 2 * kNsPerMs);
-  EXPECT_EQ(pump.poll(), 0u);
-  EXPECT_EQ(pump.suggested_sleep_ns(), 4 * kNsPerMs);
-  EXPECT_EQ(pump.poll(), 0u);
-  EXPECT_EQ(pump.suggested_sleep_ns(), 8 * kNsPerMs);
-  EXPECT_EQ(pump.poll(), 0u);  // capped, however long the quiet lasts
-  EXPECT_EQ(pump.suggested_sleep_ns(), 8 * kNsPerMs);
-
-  q->append("a", rec_at(kNsPerMs), {});
-  EXPECT_EQ(pump.poll(), 1u);  // records reset the schedule to the floor
-  EXPECT_EQ(pump.suggested_sleep_ns(), 1 * kNsPerMs);
-  EXPECT_EQ(pump.poll(), 0u);
-  EXPECT_EQ(pump.suggested_sleep_ns(), 2 * kNsPerMs);
-
-  // A BLOCKED ring is not an idle ring: a producer claims a slot and dies
-  // unpublished with a live record queued behind it. Drains return 0 while
-  // the stall budget burns, but the backoff must stay at the floor — the
-  // stalled run should be skipped at floor pace, not at the cap, or the
-  // records behind a crash wait longest exactly during the failure.
   q->claim(1);
-  q->append("a", rec_at(2 * kNsPerMs), {});
-  EXPECT_EQ(pump.poll(), 0u);  // blocked on the unpublished slot
-  EXPECT_EQ(pump.suggested_sleep_ns(), 1 * kNsPerMs);
-  EXPECT_EQ(pump.poll(), 0u);  // still blocked, still at the floor
-  EXPECT_EQ(pump.suggested_sleep_ns(), 1 * kNsPerMs);
+  q->append("a", rec_at(kNsPerMs), {});
+  for (std::uint32_t i = 0; i < kIngestMaxStallDrains; ++i) {
+    EXPECT_EQ(pump.poll(), 0u);  // blocked on the unpublished slot
+  }
   EXPECT_EQ(pump.poll(), 1u);  // stall budget spent: torn skipped, record in
-  EXPECT_EQ(pump.suggested_sleep_ns(), 1 * kNsPerMs);
   EXPECT_EQ(pump.stats().torn, 1u);
+  EXPECT_EQ(hub.snapshot()->find(hub.id_of("a"))->total_beats, 1u);
 }
 
 TEST_F(ShmIngestTest, HubSinkMirrorsSharedChannelOnly) {
@@ -321,25 +293,24 @@ TEST_F(ShmIngestTest, HubSinkMirrorsSharedChannelOnly) {
 TEST_F(ShmIngestTest, SinkBatchesAndHonorsMaxHold) {
   auto q = ShmIngestQueue::create(file(), 64);
   auto inner = std::make_shared<core::MemoryStore>(64, true, 10);
-  // use_fast_lane off so produced() (shared-ring frames) observes flushes.
   ShmHubSink sink(inner, q, "batchy",
-                  {.flush_every = 8, .max_hold_ns = 10 * kNsPerMs,
-                   .use_fast_lane = false});
-  EXPECT_EQ(sink.lane(), -1);
+                  {.flush_every = 8, .max_hold_ns = 10 * kNsPerMs});
+  ASSERT_GE(sink.lane(), 0);
+  const auto lane = static_cast<std::uint32_t>(sink.lane());
 
   sink.append(rec_at(0));
   sink.append(rec_at(1 * kNsPerMs));
-  EXPECT_EQ(q->produced(), 0u);  // buffered below flush_every
+  EXPECT_EQ(q->lane_produced(lane), 0u);  // buffered below flush_every
   // 20ms after the oldest buffered beat: the hold bound flushes the batch.
   // The three records share a thread and consecutive store seqs, so the
   // whole flush packs into ONE frame.
   sink.append(rec_at(20 * kNsPerMs));
-  EXPECT_EQ(q->produced(), 1u);
+  EXPECT_EQ(q->lane_produced(lane), 1u);
 
   sink.append(rec_at(21 * kNsPerMs));
-  EXPECT_EQ(q->produced(), 1u);
+  EXPECT_EQ(q->lane_produced(lane), 1u);
   sink.flush();  // manual flush pushes the partial batch
-  EXPECT_EQ(q->produced(), 2u);
+  EXPECT_EQ(q->lane_produced(lane), 2u);
 
   // All four records come through intact despite occupying two frames.
   ShmIngestQueue::Cursor cur;
@@ -372,6 +343,26 @@ TEST_F(ShmIngestTest, SinkFastLaneBypassesSharedRing) {
     EXPECT_EQ(out[i].app, "laner");
     EXPECT_EQ(out[i].rec.seq, i);
   }
+}
+
+TEST_F(ShmIngestTest, SinkFallsBackToSharedRingWhenLanesRunOut) {
+  auto q = ShmIngestQueue::create(file(), 64);
+  // Every lane held by this live process: the sink gets none.
+  for (std::uint32_t i = 0; i < kIngestLanes; ++i) {
+    ASSERT_GE(q->claim_lane(), 0);
+  }
+  auto inner = std::make_shared<core::MemoryStore>(64, true, 10);
+  ShmHubSink sink(inner, q, "overflow", {.flush_every = 3});
+  EXPECT_EQ(sink.lane(), -1);
+
+  for (int i = 0; i < 3; ++i) sink.append(rec_at(i * kNsPerMs));
+  EXPECT_EQ(q->produced(), 1u);  // one packed frame on the shared ring
+
+  ShmIngestQueue::Cursor cur;
+  const auto out = drain_all(*q, cur);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(cur.lane_records, 0u);
+  EXPECT_EQ(out[0].app, "overflow");
 }
 
 TEST_F(ShmIngestTest, PackedFramesRoundTripExactly) {
@@ -501,9 +492,6 @@ TEST_F(ShmIngestTest, LaneReclaimAfterProducerCrash) {
 }
 
 TEST_F(ShmIngestTest, DoorbellWakesParkedConsumer) {
-  if (!ShmIngestQueue::doorbell_supported()) {
-    GTEST_SKIP() << "no futex on this platform";
-  }
   auto q = ShmIngestQueue::create(file(), 32);
   ShmIngestQueue::Cursor cur;
 
@@ -531,27 +519,18 @@ TEST_F(ShmIngestTest, DoorbellWakesParkedConsumer) {
   EXPECT_EQ(drain_all(*q, cur).size(), 1u);
 }
 
-TEST_F(ShmIngestTest, PumpWaitBlocksOnDoorbellAndResetsBackoff) {
-  if (!ShmIngestQueue::doorbell_supported()) {
-    GTEST_SKIP() << "no futex on this platform";
-  }
+TEST_F(ShmIngestTest, PumpWaitBlocksOnDoorbell) {
   auto q = ShmIngestQueue::create(file(), 32);
   hub::HeartbeatHub hub;
-  hub::ShmIngestPump pump(q, hub,
-                          {.idle_sleep_min_ns = 1 * kNsPerMs,
-                           .idle_sleep_max_ns = 8 * kNsPerMs,
-                           .doorbell_timeout_ns = 5 * kNsPerMs});
+  hub::ShmIngestPump pump(q, hub, {.doorbell_timeout_ns = 5 * kNsPerMs});
 
-  // Idle: waits end in timeouts; empty polls still grow the backoff.
+  // Idle: the wait ends in a timeout.
   EXPECT_EQ(pump.poll(), 0u);
   EXPECT_FALSE(pump.wait(2 * kNsPerMs));
   EXPECT_EQ(pump.poll(), 0u);
   EXPECT_EQ(pump.stats().wait_timeouts, 1u);
-  EXPECT_EQ(pump.suggested_sleep_ns(), 4 * kNsPerMs);
 
-  // A producer ringing the doorbell mid-wait: wait() reports work and the
-  // backoff schedule snaps back to the floor (the doorbell wake IS the
-  // "ring went busy" signal — satellite fix).
+  // A producer ringing the doorbell mid-wait: wait() reports work.
   std::thread producer([&q] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     q->append("a", rec_at(1), {});
@@ -560,7 +539,6 @@ TEST_F(ShmIngestTest, PumpWaitBlocksOnDoorbellAndResetsBackoff) {
   for (int i = 0; i < 2000 && !woke; ++i) woke = pump.wait(5000 * kNsPerMs);
   producer.join();
   EXPECT_TRUE(woke);
-  EXPECT_EQ(pump.suggested_sleep_ns(), 1 * kNsPerMs);
   EXPECT_EQ(pump.poll(), 1u);
   const auto stats = pump.stats();
   EXPECT_GE(stats.parks, 2u);
@@ -656,8 +634,8 @@ TEST_F(ShmIngestTest, ForkedProducersMatchInProcessVerdicts) {
 
   const fault::FleetDetector detector(
       {.absolute_staleness_ns = 500 * kNsPerMs});
-  const auto ring_report = detector.sweep(hub::HubView(via_ring));
-  const auto direct_report = detector.sweep(hub::HubView(in_process));
+  const auto ring_report = detector.sweep(via_ring.snapshot());
+  const auto direct_report = detector.sweep(in_process.snapshot());
 
   ASSERT_EQ(ring_report.apps.size(), static_cast<std::size_t>(kProducers));
   ASSERT_EQ(direct_report.apps.size(), ring_report.apps.size());
