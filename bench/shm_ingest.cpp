@@ -1,19 +1,21 @@
-// Ingest fast path A/B: packed slots + SPSC fast lanes vs plain MPSC appends.
+// Ingest packing A/B on the one shared ring: per-record vs packed batches.
 //
 // Two ways a fleet of producers can push beats into one ShmIngestQueue:
 //
-//   * mpsc      — the v1 shape: every beat is one append() call, one
-//                 fetch_add claim on the shared ring head, one 128-byte
-//                 frame holding one record.
-//   * fastpath  — the v2 shape: producers buffer a small batch, the batch
-//                 packs up to kIngestFrameRecords records per frame, and
-//                 the first kIngestLanes producers publish through private
-//                 SPSC lanes that skip the shared head entirely (the rest
-//                 fall back to packed batches on the shared ring).
+//   * per_record — every beat is one append_batch() of one record: one
+//                  fetch_add claim on the ring head, one 128-byte frame
+//                  holding one record (a flush_every = 1 ShmHubSink).
+//   * packed     — producers buffer kBatch beats per append_batch(): one
+//                  claim per batch, up to kIngestFrameRecords records per
+//                  frame (a flush_every = kBatch ShmHubSink).
 //
-// A concurrent consumer drains the whole time (shared ring + lanes in one
-// pass), so the number reported is SUSTAINED delivery — what a live hbmon
-// actually ingests per second — not an unconsumed producer-side burst rate.
+// A concurrent consumer drains the whole time, so the rate reported is
+// SUSTAINED delivery — what a live hbmon actually ingests per second — not
+// an unconsumed producer-side burst rate. The ring has the production
+// default capacity (Registry::kDefaultIngestCapacity); when producers
+// outrun the consumer they lap it, and every row says so: `produced`,
+// `delivered` and `loss_pct` are records, and a rate is only comparable
+// between rows with their loss next to it.
 //
 // The bench also measures the doorbell's reason to exist: a consumer
 // parked on an idle ring should cost ~zero CPU. The idle section runs the
@@ -22,13 +24,13 @@
 // futex doorbell must stay under 1% CPU, and the bench FAILS otherwise.
 //
 // Every run ends with a conservation coda: frames consumed + frames
-// dropped + frames torn must equal frames produced (shared head plus every
-// lane head), exactly, in every configuration. Loss is legal under lap
-// pressure; miscounted loss is not.
+// dropped + frames torn must equal frames produced (the ring head),
+// exactly, in every configuration. Loss is legal under lap pressure;
+// miscounted loss is not.
 //
 //   ./bench_shm_ingest [beats_per_producer] [repeat] [--smoke] [--json PATH]
 //
-// CSV on stdout; verdict line prints fastpath_beats_mpsc_at_64=yes|no.
+// CSV on stdout; verdict line prints packed_beats_per_record_at_64=yes|no.
 // Exit 0 unless conservation or the idle-CPU gate fails (exit 2).
 #include <algorithm>
 #include <atomic>
@@ -49,6 +51,7 @@
 #include "bench_json.hpp"
 #include "hub/hub.hpp"
 #include "hub/shm_pump.hpp"
+#include "transport/registry.hpp"
 #include "transport/shm_ingest.hpp"
 #include "util/clock.hpp"
 #include "util/time.hpp"
@@ -60,9 +63,9 @@ namespace fs = std::filesystem;
 using SteadyClock = std::chrono::steady_clock;
 using hb::transport::ShmIngestQueue;
 
-constexpr std::uint32_t kRingFrames = 4096;
-constexpr std::uint32_t kLaneFrames = 1024;
-/// Producer-side buffer per flush in fastpath mode: a multiple of
+constexpr std::uint32_t kRingFrames =
+    hb::transport::Registry::kDefaultIngestCapacity;
+/// Producer-side buffer per flush in packed mode: a multiple of
 /// kIngestFrameRecords so every flush packs into full frames.
 constexpr std::size_t kBatch = 3 * hb::transport::kIngestFrameRecords;
 
@@ -85,21 +88,28 @@ double thread_cpu_seconds() {
 
 struct RunResult {
   double elapsed_s = 0.0;       ///< producers started -> ring fully drained
+  std::uint64_t produced = 0;   ///< records the producers appended
   std::uint64_t delivered = 0;  ///< records the consumer handed to its sink
   std::uint64_t dropped = 0;    ///< frames lapped past the consumer
-  std::uint64_t torn = 0;       ///< frames skipped uncommitted
+  std::uint64_t torn = 0;       ///< frames whose producer died mid-publish
   bool conserved = false;       ///< consumed+dropped+torn == produced frames
+
+  double rate() const { return static_cast<double>(delivered) / elapsed_s; }
+  double loss_pct() const {
+    return produced == 0 ? 0.0
+                         : 100.0 * static_cast<double>(produced - delivered) /
+                               static_cast<double>(produced);
+  }
 };
 
 /// One A/B run: `producers` threads each push `beats` records while one
-/// consumer drains. fastpath=false is the v1 shape (append() per record);
-/// fastpath=true batches kBatch records per flush through a claimed lane
-/// (or packed shared-ring batches once the lanes run out).
+/// consumer drains. packed=false appends one record per call; packed=true
+/// appends kBatch records per call.
 RunResult run_config(const fs::path& dir, int producers, int beats,
-                     bool fastpath) {
+                     bool packed) {
   const auto path = dir / "ring.hbq";
   fs::remove(path);
-  auto queue = ShmIngestQueue::create(path, kRingFrames, kLaneFrames);
+  auto queue = ShmIngestQueue::create(path, kRingFrames);
   const hb::core::TargetRate target{1.0, 1e9};
 
   std::vector<std::string> names;
@@ -110,15 +120,6 @@ RunResult run_config(const fs::path& dir, int producers, int beats,
 
   std::atomic<int> done{0};
   std::atomic<bool> go{false};
-  // Lanes are claimed up front and held until AFTER the conservation check:
-  // a released lane can be re-claimed and legally lap the consumer, which
-  // is valid transport behavior but makes "frames produced" unattributable.
-  std::vector<int> lanes(static_cast<std::size_t>(producers), -1);
-  if (fastpath) {
-    for (int p = 0; p < producers; ++p) {
-      lanes[static_cast<std::size_t>(p)] = queue->claim_lane();
-    }
-  }
 
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(producers));
@@ -127,23 +128,15 @@ RunResult run_config(const fs::path& dir, int producers, int beats,
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       const auto tid = static_cast<std::uint32_t>(p + 1);
       const std::string_view name = names[static_cast<std::size_t>(p)];
-      if (!fastpath) {
-        for (int i = 0; i < beats; ++i) {
-          queue->append(name, make_record(tid, static_cast<std::uint64_t>(i)),
-                        target);
+      const std::size_t per_call = packed ? kBatch : 1;
+      hb::core::HeartbeatRecord batch[kBatch];
+      int i = 0;
+      while (i < beats) {
+        std::size_t n = 0;
+        for (; n < per_call && i < beats; ++n, ++i) {
+          batch[n] = make_record(tid, static_cast<std::uint64_t>(i));
         }
-      } else {
-        const int lane = lanes[static_cast<std::size_t>(p)];
-        hb::core::HeartbeatRecord batch[kBatch];
-        int i = 0;
-        while (i < beats) {
-          std::size_t n = 0;
-          for (; n < kBatch && i < beats; ++n, ++i) {
-            batch[n] = make_record(tid, static_cast<std::uint64_t>(i));
-          }
-          const std::span<const hb::core::HeartbeatRecord> recs(batch, n);
-          queue->append_batch_lane(lane, name, recs, target);
-        }
+        queue->append_batch(name, {batch, n}, target);
       }
       done.fetch_add(1, std::memory_order_release);
     });
@@ -168,13 +161,12 @@ RunResult run_config(const fs::path& dir, int producers, int beats,
   const auto t1 = SteadyClock::now();
   for (auto& t : threads) t.join();
 
-  std::uint64_t frames_produced = queue->produced();
-  for (std::uint32_t l = 0; l < queue->lane_count(); ++l) {
-    frames_produced += queue->lane_produced(l);
-  }
+  const std::uint64_t frames_produced = queue->produced();
 
   RunResult result;
   result.elapsed_s = std::chrono::duration<double>(t1 - t0).count();
+  result.produced = static_cast<std::uint64_t>(producers) *
+                    static_cast<std::uint64_t>(beats);
   result.delivered = delivered;
   result.dropped = cur.dropped;
   result.torn = cur.torn;
@@ -197,7 +189,7 @@ RunResult run_config(const fs::path& dir, int producers, int beats,
 double run_idle(const fs::path& dir, double window_s, double* wall_out) {
   const auto path = dir / "idle.hbq";
   fs::remove(path);
-  auto queue = ShmIngestQueue::create(path, 256, 64);
+  auto queue = ShmIngestQueue::create(path, 256);
   auto hub = std::make_shared<hb::hub::HeartbeatHub>();
   hb::hub::ShmIngestPumpOptions opts;
   opts.doorbell_timeout_ns = 50 * hb::util::kNsPerMs;
@@ -273,43 +265,34 @@ int main(int argc, char** argv) {
 
   std::printf(
       "config,producers,beats_per_producer,elapsed_s,beats_per_sec,"
-      "delivered,dropped_frames,torn_frames\n");
+      "produced,delivered,loss_pct,dropped_frames,torn_frames\n");
   const int kProducerCounts[] = {8, 64};
   bool conserved = true;
-  double mpsc_at_64 = 0.0;
-  double fast_at_64 = 0.0;
   struct Row {
     int producers;
-    double mpsc_rate, fast_rate;
+    RunResult per_record, packed;
   };
   std::vector<Row> rows;
   for (const int producers : kProducerCounts) {
-    RunResult ab[2];
-    for (const bool fastpath : {false, true}) {
+    Row row{producers, {}, {}};
+    for (const bool packed : {false, true}) {
       const RunResult run = best_of(
-          repeat, [&] { return run_config(dir, producers, beats, fastpath); });
-      const double rate =
-          static_cast<double>(run.delivered) / run.elapsed_s;
-      std::printf("%s,%d,%d,%.4f,%.0f,%llu,%llu,%llu\n",
-                  fastpath ? "fastpath" : "mpsc", producers, beats,
-                  run.elapsed_s, rate,
+          repeat, [&] { return run_config(dir, producers, beats, packed); });
+      std::printf("%s,%d,%d,%.4f,%.0f,%llu,%llu,%.2f,%llu,%llu\n",
+                  packed ? "packed" : "per_record", producers, beats,
+                  run.elapsed_s, run.rate(),
+                  static_cast<unsigned long long>(run.produced),
                   static_cast<unsigned long long>(run.delivered),
+                  run.loss_pct(),
                   static_cast<unsigned long long>(run.dropped),
                   static_cast<unsigned long long>(run.torn));
       std::fflush(stdout);
       conserved = conserved && run.conserved;
-      ab[fastpath ? 1 : 0] = run;
+      (packed ? row.packed : row.per_record) = run;
     }
-    const double mpsc_rate =
-        static_cast<double>(ab[0].delivered) / ab[0].elapsed_s;
-    const double fast_rate =
-        static_cast<double>(ab[1].delivered) / ab[1].elapsed_s;
-    rows.push_back({producers, mpsc_rate, fast_rate});
-    if (producers == 64) {
-      mpsc_at_64 = mpsc_rate;
-      fast_at_64 = fast_rate;
-    }
+    rows.push_back(row);
   }
+  const Row& at_64 = rows.back();
 
   // Idle-CPU section: a parked consumer over a quiet second.
   double idle_wall = 0.0;
@@ -320,11 +303,13 @@ int main(int argc, char** argv) {
   const bool idle_ok = idle_cpu < 0.01 * idle_window_s;
 
   fs::remove_all(dir);
-  const bool fast_wins = fast_at_64 > mpsc_at_64;
+  const bool packed_wins = at_64.packed.rate() > at_64.per_record.rate();
   std::printf(
-      "\n# fastpath_beats_mpsc_at_64=%s (sustained: fastpath %.0f/s vs "
-      "mpsc %.0f/s)\n",
-      fast_wins ? "yes" : "no", fast_at_64, mpsc_at_64);
+      "\n# packed_beats_per_record_at_64=%s (sustained: packed %.0f/s at "
+      "%.2f%% loss vs per_record %.0f/s at %.2f%% loss)\n",
+      packed_wins ? "yes" : "no", at_64.packed.rate(),
+      at_64.packed.loss_pct(), at_64.per_record.rate(),
+      at_64.per_record.loss_pct());
   std::printf("# idle_consumer_cpu_pct=%.3f (gate=%s)\n", idle_pct,
               idle_ok ? "ok" : "FAIL");
   std::printf("# frames_conserved=%s\n", conserved ? "yes" : "NO");
@@ -335,14 +320,26 @@ int main(int argc, char** argv) {
     rec.config("repeat", repeat);
     rec.config("smoke", smoke);
     rec.config("doorbell", "futex");
+    rec.config("ring_frames", static_cast<std::uint64_t>(kRingFrames));
+    rec.config("packed_batch", static_cast<std::uint64_t>(kBatch));
+    rec.config("host_cores",
+               static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
     for (const Row& row : rows) {
-      const std::string p = std::to_string(row.producers);
-      rec.metric(("mpsc_beats_per_sec_p" + p).c_str(), row.mpsc_rate);
-      rec.metric(("fastpath_beats_per_sec_p" + p).c_str(), row.fast_rate);
+      const std::string p = "_p" + std::to_string(row.producers);
+      for (const bool packed : {false, true}) {
+        const RunResult& run = packed ? row.packed : row.per_record;
+        const std::string mode = packed ? "packed" : "per_record";
+        rec.metric((mode + "_beats_per_sec" + p).c_str(), run.rate());
+        rec.metric((mode + "_produced" + p).c_str(), run.produced);
+        rec.metric((mode + "_delivered" + p).c_str(), run.delivered);
+        rec.metric((mode + "_loss_pct" + p).c_str(), run.loss_pct());
+      }
     }
-    rec.metric("fastpath_speedup_p64",
-               mpsc_at_64 > 0 ? fast_at_64 / mpsc_at_64 : 0.0);
-    rec.metric("fastpath_beats_mpsc_at_64", fast_wins);
+    rec.metric("packed_speedup_p64",
+               at_64.per_record.rate() > 0
+                   ? at_64.packed.rate() / at_64.per_record.rate()
+                   : 0.0);
+    rec.metric("packed_beats_per_record_at_64", packed_wins);
     rec.metric("idle_consumer_cpu_pct", idle_pct);
     rec.metric("frames_conserved", conserved);
     rec.write(json_path);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -242,7 +241,6 @@ void HubShard::rebuild_snapshot_locked(util::TimeNs now) {
   next->apps.reserve(apps_.size());
 
   ClusterSummary& sum = next->cluster_part;
-  std::map<std::uint64_t, TagSummary> by_tag;
   for (AppState& app : apps_) {
     // One walk does everything the old per-query collect paths did:
     // time maintenance, dirty refresh, summary copy, rollup accumulation.
@@ -288,15 +286,14 @@ void HubShard::rebuild_snapshot_locked(util::TimeNs now) {
         sum.interval_max_ns = std::max(sum.interval_max_ns, s.interval_max_ns);
       }
     }
-    for (const auto& [tag, count] : app.tag_counts) {
-      TagSummary& t = by_tag[tag];
-      t.tag = tag;
-      t.beats += count;
-      ++t.apps;
-    }
   }
-  next->tags.reserve(by_tag.size());
-  for (const auto& [_, t] : by_tag) next->tags.push_back(t);
+  next->tags.reserve(tag_rollup_.size());
+  tag_rollup_.for_each(
+      [&](std::uint64_t, const TagSummary& t) { next->tags.push_back(t); });
+  std::sort(next->tags.begin(), next->tags.end(),
+            [](const TagSummary& a, const TagSummary& b) {
+              return a.tag < b.tag;
+            });
   state_dirty_ = false;
 
   util::MutexLock snap_lock(snap_mu_);
@@ -345,12 +342,27 @@ void HubShard::age_window_locked(AppState& app, util::TimeNs cutoff_ns) {
   }
 }
 
+void HubShard::count_tag_locked(AppState& app, std::uint64_t tag) {
+  TagSummary& t = tag_rollup_[tag];
+  t.tag = tag;
+  ++t.beats;
+  if (++app.tag_counts[tag] == 1) ++t.apps;
+}
+
+void HubShard::uncount_tag_locked(std::uint64_t tag, std::uint64_t beats,
+                                  bool app_gone) {
+  TagSummary* t = tag_rollup_.find(tag);
+  t->beats -= beats;
+  if (app_gone && --t->apps == 0) tag_rollup_.erase(tag);
+}
+
 void HubShard::retire_oldest_tag_locked(AppState& app) {
   const core::HeartbeatRecord& oldest = app.window.back(app.window.size() - 1);
   auto it = app.tag_counts.find(oldest.tag);
-  if (it != app.tag_counts.end() && --it->second == 0) {
-    app.tag_counts.erase(it);
-  }
+  if (it == app.tag_counts.end()) return;
+  const bool gone = --it->second == 0;
+  if (gone) app.tag_counts.erase(it);
+  uncount_tag_locked(oldest.tag, 1, gone);
 }
 
 void HubShard::drop_oldest_locked(AppState& app) {
@@ -369,6 +381,9 @@ void HubShard::evict_locked(AppState& app) {
   app.window.clear();
   app.intervals.clear();
   app.hist.reset();
+  for (const auto& [tag, count] : app.tag_counts) {
+    uncount_tag_locked(tag, count, /*app_gone=*/true);
+  }
   app.tag_counts.clear();
   app.last_mean_ns = 0.0;
   app.evicted = true;
@@ -408,7 +423,7 @@ void HubShard::apply_locked(std::uint32_t slot, const core::HeartbeatRecord& rec
     retire_oldest_tag_locked(app);
   }
   app.window.push(rec);
-  ++app.tag_counts[rec.tag];
+  count_tag_locked(app, rec.tag);
   app.dirty = true;
 }
 

@@ -38,6 +38,7 @@
 #include "hub/snapshot.hpp"
 #include "hub/summary.hpp"
 #include "util/clock.hpp"
+#include "util/flat_u64_map.hpp"
 #include "util/histogram.hpp"
 #include "util/mutex.hpp"
 #include "util/ring_buffer.hpp"
@@ -176,7 +177,12 @@ class HubShard {
   void maintain_locked(AppState& app, util::TimeNs now) HB_REQUIRES(state_mu_);
   void age_window_locked(AppState& app, util::TimeNs cutoff_ns)
       HB_REQUIRES(state_mu_);
-  /// Tag count bookkeeping.
+  /// Tag count bookkeeping: every change to an app's tag_counts goes
+  /// through these, so tag_rollup_ stays the sum of them all.
+  void count_tag_locked(AppState& app, std::uint64_t tag)
+      HB_REQUIRES(state_mu_);
+  void uncount_tag_locked(std::uint64_t tag, std::uint64_t beats, bool app_gone)
+      HB_REQUIRES(state_mu_);
   void retire_oldest_tag_locked(AppState& app) HB_REQUIRES(state_mu_);
   /// One record + its interval.
   void drop_oldest_locked(AppState& app) HB_REQUIRES(state_mu_);
@@ -200,6 +206,11 @@ class HubShard {
   /// Set by add_app/set_target/evict: state changed without any beat, so
   /// the next publish must rebuild even if no records arrive.
   bool state_dirty_ HB_GUARDED_BY(state_mu_) = false;
+  /// Windowed per-tag rollup over every app's tag_counts (evicted apps
+  /// hold none), kept up to date per beat so a publish copies it instead
+  /// of walking each app's tags: that walk cost O(apps x window) and grew
+  /// with every beat until the windows filled.
+  util::FlatU64Map<TagSummary> tag_rollup_ HB_GUARDED_BY(state_mu_);
 
   /// INGEST stage. Guards batch_, overflow_, ingested_. Producers touch
   /// nothing else on the hot path.

@@ -147,7 +147,6 @@ ShmIngestPumpStats ShmIngestPump::stats() const {
   s.dropped = cursor_.dropped;
   s.torn = cursor_.torn;
   s.apps = apps_.size();
-  s.lane_records = cursor_.lane_records;
   s.parks = parks_;
   s.doorbell_wakes = doorbell_wakes_;
   s.spurious_wakes = spurious_wakes_;

@@ -1,9 +1,9 @@
 // ShmIngestPump: drain a cross-process ingest ring into a HeartbeatHub.
 //
 // The consumer half of the transport/ShmIngestQueue pipeline. One pump owns
-// one ring cursor and one hub: each poll() drains every committed frame
-// (shared ring + fast lanes), groups the records per application, and hands
-// each group to HeartbeatHub::ingest_batch in one shard-lock acquire.
+// one ring cursor and one hub: each poll() drains every committed frame,
+// groups the records per application, and hands each group to
+// HeartbeatHub::ingest_batch in one shard-lock acquire.
 // Applications are registered on first sight (with the target carried in
 // their frames) and re-targeted whenever a drained frame shows a changed
 // target — so a fleet of external producer processes reaches FleetDetector
@@ -42,15 +42,16 @@ class HeartbeatHub;
 /// CLOCK_MONOTONIC epoch, so their own stamps give true rates AND
 /// comparable staleness on the hub clock.
 struct ShmIngestPumpOptions {
-  /// Consume the ring's full retained backlog (up to capacity frames per
-  /// stream) instead of starting at the current heads. Off by default: a
+  /// Consume the ring's full retained backlog (up to capacity frames)
+  /// instead of starting at the current head. Off by default: a
   /// live monitor wants beats produced while it watches, not a replay of
   /// whatever a previous session left in the ring.
   bool from_start = false;
-  /// Longest single doorbell block. This bounds the missed-wake window the
-  /// producers' relaxed parked-check admits AND doubles as a liveness
-  /// heartbeat for the poll loop; it is NOT a staleness bound (a beat rings
-  /// the doorbell and wakes the pump immediately).
+  /// Longest single doorbell block. This bounds how long a slot whose
+  /// claimer died waits for the next poll to tear it (a dead producer rings
+  /// nothing) AND doubles as a liveness heartbeat for the poll loop; it is
+  /// NOT a staleness bound (a beat rings the doorbell and wakes the pump
+  /// immediately).
   util::TimeNs doorbell_timeout_ns = 100 * util::kNsPerMs;
 };
 
@@ -59,9 +60,11 @@ struct ShmIngestPumpStats {
   std::uint64_t polls = 0;     ///< poll() calls
   std::uint64_t consumed = 0;  ///< records ingested into the hub
   std::uint64_t dropped = 0;   ///< ring frames lapped before this pump read them
-  std::uint64_t torn = 0;      ///< frames skipped (producer died mid-batch)
+  std::uint64_t torn = 0;      ///< frames whose producer died mid-publish (or stalled > 1 s)
   std::uint64_t apps = 0;      ///< distinct producer names seen
-  std::uint64_t lane_records = 0;    ///< records that arrived via fast lanes
+  /// Always 0: the ring has no fast lanes since format v3. Kept so
+  /// readers of the v2 stats (pipebench's ring.lane_record_pct) compile.
+  std::uint64_t lane_records = 0;
   std::uint64_t parks = 0;           ///< wait() calls that blocked on the futex
   std::uint64_t doorbell_wakes = 0;  ///< parks ended by a producer's ring
   std::uint64_t spurious_wakes = 0;  ///< wakes that found no pending frames

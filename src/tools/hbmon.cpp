@@ -121,19 +121,18 @@ void handle_stop(int) { g_stop = 1; }
 void print_transport_footer(const hb::hub::ShmIngestPumpStats& stats) {
   std::printf("transport: %llu beats ingested from %llu producers, "
               "%llu dropped (ring lapped), %llu torn (producer died "
-              "mid-publish)%s\n",
+              "mid-publish or stalled > 1 s)%s\n",
               static_cast<unsigned long long>(stats.consumed),
               static_cast<unsigned long long>(stats.apps),
               static_cast<unsigned long long>(stats.dropped),
               static_cast<unsigned long long>(stats.torn),
               stats.dropped || stats.torn ? "  <-- ring loss" : "");
   std::printf("doorbell: %llu parks, %llu wakes (%llu spurious), "
-              "%llu timeouts, %llu fast-lane beats\n",
+              "%llu timeouts\n",
               static_cast<unsigned long long>(stats.parks),
               static_cast<unsigned long long>(stats.doorbell_wakes),
               static_cast<unsigned long long>(stats.spurious_wakes),
-              static_cast<unsigned long long>(stats.wait_timeouts),
-              static_cast<unsigned long long>(stats.lane_records));
+              static_cast<unsigned long long>(stats.wait_timeouts));
 }
 
 const char* kind_name(hb::obs::MetricValue::Kind kind) {

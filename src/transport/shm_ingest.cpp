@@ -1,6 +1,7 @@
 #include "transport/shm_ingest.hpp"
 
 #include <fcntl.h>
+#include <pthread.h>
 #include <signal.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
@@ -24,6 +25,7 @@
 #include "core/memory_store.hpp"
 #include "obs/metrics.hpp"
 #include "transport/posix_util.hpp"
+#include "util/clock.hpp"
 #include "util/tsan.hpp"
 
 namespace hb::transport {
@@ -35,27 +37,23 @@ namespace {
 
 /// Registry cells for the shm ring, resolved once per process. Claims,
 /// records, and rings are producer-side (every process mapping the ring
-/// has its own registry); drained/dropped/torn/lane_drained are
-/// consumer-side deltas mirrored off the Cursor.
+/// has its own registry); drained/dropped/torn are consumer-side deltas
+/// mirrored off the Cursor.
 struct ShmMetrics {
-  obs::Counter* claimed;      ///< shared-ring frames claimed
-  obs::Counter* lane_frames;  ///< fast-lane frames published
-  obs::Counter* records;      ///< records appended (both paths)
-  obs::Counter* rings;        ///< doorbell rings performed
-  obs::Counter* drained;      ///< records delivered to consumers
-  obs::Counter* lane_drained; ///< subset of drained from fast lanes
-  obs::Counter* dropped;      ///< frames lapped before a consumer read them
-  obs::Counter* torn;         ///< frames skipped (crashed producer)
+  obs::Counter* claimed;  ///< frames claimed
+  obs::Counter* records;  ///< records appended
+  obs::Counter* rings;    ///< doorbell rings performed
+  obs::Counter* drained;  ///< records delivered to consumers
+  obs::Counter* dropped;  ///< frames lapped before a consumer read them
+  obs::Counter* torn;     ///< frames whose producer died mid-publish
 
   static const ShmMetrics& get() {
     static const ShmMetrics m = [] {
       auto& r = obs::MetricsRegistry::global();
       return ShmMetrics{&r.counter("hb.shm.claimed"),
-                        &r.counter("hb.shm.lane_frames"),
                         &r.counter("hb.shm.records"),
                         &r.counter("hb.shm.rings"),
                         &r.counter("hb.shm.drained"),
-                        &r.counter("hb.shm.lane_drained"),
                         &r.counter("hb.shm.dropped"),
                         &r.counter("hb.shm.torn")};
     }();
@@ -121,39 +119,75 @@ void futex_wake_all(std::atomic<std::uint32_t>* word) {
   futex_call(word, FUTEX_WAKE, INT_MAX, nullptr);
 }
 
-/// True when the pid half of a lane owner token names a process that no
-/// longer exists (ESRCH). EPERM means "alive but not ours" — NOT dead.
-bool owner_pid_dead(std::uint64_t token) {
-  const pid_t pid = static_cast<pid_t>(token & 0xffffffffULL);
-  if (pid <= 0) return true;  // malformed token: reclaimable
-  if (pid == ::getpid()) return false;
-  return ::kill(pid, 0) != 0 && errno == ESRCH;
+// ------------------------------------------------------- claim markers
+//
+// getpid() is a syscall on current glibc and every claim stamps the pid,
+// so it is cached per process; a fork child refreshes the cache before it
+// runs (producers may inherit a queue handle across fork).
+
+std::atomic<std::uint32_t> g_self_pid{0};
+
+void refresh_self_pid() {
+  // relaxed: the value is the only payload; the fork child runs this
+  // single-threaded, and first use runs it under the magic-static guard.
+  g_self_pid.store(static_cast<std::uint32_t>(::getpid()),
+                   std::memory_order_relaxed);
 }
 
-/// Fresh (nonce << 32) | pid owner token; the process-local nonce keeps
-/// two claims by the same process distinct under CAS.
-std::uint64_t next_owner_token() {
-  static std::atomic<std::uint32_t> nonce{0};
-  // relaxed: the nonce only needs to be unique within this process; no
-  // ordering with any other memory is implied.
-  const std::uint32_t n = nonce.fetch_add(1, std::memory_order_relaxed) + 1;
-  return (static_cast<std::uint64_t>(n) << 32) |
-         static_cast<std::uint32_t>(::getpid());
+std::uint32_t self_pid() {
+  static const bool registered = [] {
+    refresh_self_pid();
+    ::pthread_atfork(nullptr, nullptr, refresh_self_pid);
+    return true;
+  }();
+  (void)registered;
+  // relaxed: see refresh_self_pid().
+  return g_self_pid.load(std::memory_order_relaxed);
+}
+
+/// What the head-of-line commit word says about frame `seq`.
+enum class SlotState {
+  kReady,     ///< committed as frame seq
+  kLapped,    ///< committed or claimed for a later lap: frame seq is gone
+  kClaimed,   ///< carries seq's own in-flight marker
+  kUnmarked,  ///< an older lap's value: seq's claimer has not stamped yet
+};
+
+SlotState slot_state(std::uint64_t commit, std::uint64_t seq) {
+  if (commit & kIngestMarkerBit) {
+    const std::uint64_t mseq =
+        (commit >> kIngestMarkerPidBits) & kIngestMarkerSeqMask;
+    const std::uint64_t ahead = (mseq - seq) & kIngestMarkerSeqMask;
+    if (ahead == 0) return SlotState::kClaimed;
+    // A claim for a later lap is "ahead" by less than half the seq space.
+    return ahead < (kIngestMarkerSeqMask >> 1) ? SlotState::kLapped
+                                               : SlotState::kUnmarked;
+  }
+  if (commit == seq + 1) return SlotState::kReady;
+  return commit > seq + 1 ? SlotState::kLapped : SlotState::kUnmarked;
+}
+
+/// True when the claimer a marker names no longer exists (ESRCH). EPERM
+/// means "alive but not ours" — NOT dead.
+bool marker_pid_dead(std::uint64_t marker) {
+  const auto pid = static_cast<pid_t>(
+      marker & ((1ULL << kIngestMarkerPidBits) - 1));
+  if (pid <= 0) return true;  // malformed marker: no claimer to wait for
+  if (static_cast<std::uint32_t>(pid) == self_pid()) return false;
+  return ::kill(pid, 0) != 0 && errno == ESRCH;
 }
 
 }  // namespace
 
 std::shared_ptr<ShmIngestQueue> ShmIngestQueue::create(
-    const std::filesystem::path& file, std::uint32_t capacity,
-    std::uint32_t lane_capacity) {
+    const std::filesystem::path& file, std::uint32_t capacity) {
   if (capacity < 2) capacity = 2;
-  if (lane_capacity < 2) lane_capacity = 2;
 
   if (file.has_parent_path()) std::filesystem::create_directories(file.parent_path());
   Fd fd;
   fd.fd = ::open(file.c_str(), O_RDWR | O_CREAT | O_EXCL, 0644);
   if (fd.fd < 0) throw_errno("ShmIngestQueue::create open " + file.string());
-  const std::size_t bytes = shm_ingest_segment_size(capacity, lane_capacity);
+  const std::size_t bytes = shm_ingest_segment_size(capacity);
   if (::ftruncate(fd.fd, static_cast<off_t>(bytes)) != 0) {
     throw_errno("ShmIngestQueue::create ftruncate " + file.string());
   }
@@ -163,16 +197,13 @@ std::shared_ptr<ShmIngestQueue> ShmIngestQueue::create(
     throw_errno("ShmIngestQueue::create mmap " + file.string());
   }
 
-  // The mapping is zero-filled; all-zero slots and lane headers are
-  // already valid (commit == 0 means empty, owner == 0 means free). Fill
-  // the header, then publish the magic LAST so a concurrent attach()
-  // never observes a half-built header.
+  // The mapping is zero-filled; all-zero slots are already valid
+  // (commit == 0 means never written). Fill the header, then publish the
+  // magic LAST so a concurrent attach() never observes a half-built header.
   auto* hdr = new (base) ShmIngestHeader();
   hdr->slot_size = sizeof(ShmIngestSlot);
   hdr->capacity = capacity;
-  hdr->creator_pid = static_cast<std::uint32_t>(::getpid());
-  hdr->lane_count = kIngestLanes;
-  hdr->lane_capacity = lane_capacity;
+  hdr->creator_pid = self_pid();
   hdr->magic.store(kShmIngestMagic, std::memory_order_release);
 
   // A creator stalled long enough here looks abandoned: open()'s reclaim
@@ -231,9 +262,8 @@ void* map_existing(const std::filesystem::path& file, std::size_t& bytes_out,
                              file.string());
   }
   if (magic != kShmIngestMagic || hdr->version != kShmIngestVersion ||
-      hdr->slot_size != sizeof(ShmIngestSlot) ||
-      hdr->lane_count != kIngestLanes || hdr->lane_capacity < 2 ||
-      bytes < shm_ingest_segment_size(hdr->capacity, hdr->lane_capacity)) {
+      hdr->slot_size != sizeof(ShmIngestSlot) || hdr->capacity < 2 ||
+      bytes < shm_ingest_segment_size(hdr->capacity)) {
     ::munmap(base, bytes);
     throw std::runtime_error("ShmIngestQueue::attach: bad segment format: " +
                              file.string());
@@ -320,57 +350,33 @@ ShmIngestQueue::ShmIngestQueue(std::filesystem::path file, void* base,
     : file_(std::move(file)),
       base_(base),
       bytes_(bytes),
-      capacity_(static_cast<const ShmIngestHeader*>(base)->capacity),
-      lane_count_(static_cast<const ShmIngestHeader*>(base)->lane_count),
-      lane_capacity_(static_cast<const ShmIngestHeader*>(base)->lane_capacity) {}
+      capacity_(static_cast<const ShmIngestHeader*>(base)->capacity) {}
 
 ShmIngestQueue::~ShmIngestQueue() {
-  for (std::uint32_t i = 0; i < kIngestLanes; ++i) {
-    if (lane_tokens_[i] != 0) release_lane(static_cast<int>(i));
-  }
   if (base_ != nullptr) ::munmap(base_, bytes_);
 }
 
-ShmIngestLane* ShmIngestQueue::lane_headers() {
-  return reinterpret_cast<ShmIngestLane*>(static_cast<char*>(base_) +
-                                          sizeof(ShmIngestHeader));
-}
-
-const ShmIngestLane* ShmIngestQueue::lane_headers() const {
-  return reinterpret_cast<const ShmIngestLane*>(
-      static_cast<const char*>(base_) + sizeof(ShmIngestHeader));
-}
-
 ShmIngestSlot* ShmIngestQueue::slots() {
-  return reinterpret_cast<ShmIngestSlot*>(
-      static_cast<char*>(base_) + sizeof(ShmIngestHeader) +
-      kIngestLanes * sizeof(ShmIngestLane));
+  return reinterpret_cast<ShmIngestSlot*>(static_cast<char*>(base_) +
+                                          sizeof(ShmIngestHeader));
 }
 
 const ShmIngestSlot* ShmIngestQueue::slots() const {
   return reinterpret_cast<const ShmIngestSlot*>(
-      static_cast<const char*>(base_) + sizeof(ShmIngestHeader) +
-      kIngestLanes * sizeof(ShmIngestLane));
-}
-
-ShmIngestSlot* ShmIngestQueue::lane_slots(std::uint32_t lane) {
-  return slots() + capacity_ +
-         static_cast<std::size_t>(lane) * lane_capacity_;
-}
-
-const ShmIngestSlot* ShmIngestQueue::lane_slots(std::uint32_t lane) const {
-  return slots() + capacity_ +
-         static_cast<std::size_t>(lane) * lane_capacity_;
+      static_cast<const char*>(base_) + sizeof(ShmIngestHeader));
 }
 
 // ---------------------------------------------------------------- doorbell
 
 void ShmIngestQueue::ring_doorbell() {
   ShmIngestHeader* hdr = header();
-  // relaxed: advisory fast-path check. A consumer parking concurrently
-  // can miss this producer's frames AND have its parked increment missed
-  // here (classic store-buffer race) — the consumer's bounded futex
-  // timeout covers that window; see wait_for_frames().
+  // Store-buffer (Dekker) pairing with wait_for_frames(): our commit
+  // stores, then this fence, then the parked load; the consumer's parked
+  // increment, then its fence, then its commit loads. With both fences at
+  // least one side sees the other, so a consumer parked on our in-flight
+  // slot is never left sleeping through the commit that unblocks it.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  // relaxed: ordered by the fence above.
   if (hdr->parked.load(std::memory_order_relaxed) == 0) return;
   hdr->doorbell.fetch_add(1, std::memory_order_release);
   // relaxed: diagnostic counter; no ordering with the generation bump.
@@ -388,11 +394,12 @@ ShmIngestQueue::WaitResult ShmIngestQueue::wait_for_frames(
   // returns EAGAIN instead of sleeping through the signal.
   const std::uint32_t gen = hdr->doorbell.load(std::memory_order_acquire);
   if (has_frames(cur)) return WaitResult::kReady;
-  // Park/ring ordering: advertise parked with seq_cst, THEN re-check for
-  // frames. A producer publishes frames first, then loads `parked`; its
-  // load is relaxed, so the one interleaving where both sides miss each
-  // other is possible — and bounded by timeout_ns, not by silence.
+  // Park/ring ordering: advertise parked, fence, THEN re-check for frames
+  // — the consumer half of the pairing in ring_doorbell(). timeout_ns
+  // bounds what the doorbell cannot signal: a claimer that died without
+  // committing, whose slot drain() tears on the next poll.
   hdr->parked.fetch_add(1, std::memory_order_seq_cst);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   WaitResult r;
   if (has_frames(cur)) {
     r = WaitResult::kReady;
@@ -413,7 +420,32 @@ std::uint64_t ShmIngestQueue::doorbell_rings() const {
 
 std::uint64_t ShmIngestQueue::claim(std::uint64_t n) {
   ShmMetrics::get().claimed->add(n);
-  return header()->head.fetch_add(n, std::memory_order_acq_rel);
+  const std::uint64_t first =
+      header()->head.fetch_add(n, std::memory_order_acq_rel);
+  // Stamp every claimed slot before writing any payload: the marker is the
+  // seqlock invalidation (a reader mid-copy of an older lap rejects its
+  // copy) AND tells consumers who to wait for. A slot's value only ever
+  // moves forward in seq: the stamp replaces an older lap's value, never a
+  // newer one. A producer preempted between its fetch_add and here may
+  // find a later lap already holding the slot; its frame is lapped, and
+  // publish_frame() leaves the slot alone.
+  const std::uint32_t pid = self_pid();
+  ShmIngestSlot* arr = slots();
+  for (std::uint64_t seq = first; seq < first + n; ++seq) {
+    std::atomic<std::uint64_t>& commit = arr[seq % capacity_].commit;
+    std::uint64_t c = commit.load(std::memory_order_acquire);
+    // relaxed: the failure order; a failed CAS re-reads and re-decides.
+    while (slot_state(c, seq) == SlotState::kUnmarked &&
+           !commit.compare_exchange_weak(c, ingest_claim_marker(seq, pid),
+                                         std::memory_order_release,
+                                         std::memory_order_relaxed)) {
+    }
+  }
+  // Keeps the payload stores that follow from landing ahead of the
+  // markers (a release store orders only what comes BEFORE it). Mirrors
+  // the acquire fence on the reader side.
+  std::atomic_thread_fence(std::memory_order_release);
+  return first;
 }
 
 std::size_t ShmIngestQueue::count_packable(
@@ -438,14 +470,12 @@ void ShmIngestQueue::publish_frame(ShmIngestSlot& slot, std::uint64_t seq,
                                    std::string_view app,
                                    std::span<const core::HeartbeatRecord> recs,
                                    core::TargetRate target) {
-  // Seqlock write: invalidate, payload, publish. The fence keeps the
-  // payload stores from being reordered ahead of the invalidation (a
-  // release store only orders what comes BEFORE it) — without it a
-  // lapping writer's payload could land while the old commit word is
-  // still visible and a concurrent reader's re-check would accept a torn
-  // frame. Mirrors the acquire fence on the reader side.
-  slot.commit.store(0, std::memory_order_release);
-  std::atomic_thread_fence(std::memory_order_release);
+  // Seqlock write: claim() already stamped the invalidating marker and
+  // fenced; payload, then publish. No marker of ours means a later lap
+  // took the slot first: the frame is lapped, and writing its payload
+  // would only corrupt the newer frame.
+  std::uint64_t mine = ingest_claim_marker(seq, self_pid());
+  if (slot.commit.load(std::memory_order_acquire) != mine) return;
   ShmIngestSlot::Body body;
   fit_name(app, body.app);
   body.thread_id = recs[0].thread_id;
@@ -460,23 +490,13 @@ void ShmIngestQueue::publish_frame(ShmIngestSlot& slot, std::uint64_t seq,
         static_cast<std::uint32_t>(recs[i].timestamp_ns - recs[0].timestamp_ns);
   }
   util::tsan_relaxed_copy(slot.body, body);
-  slot.commit.store(seq + 1, std::memory_order_release);
-}
-
-void ShmIngestQueue::publish(std::uint64_t seq, std::string_view app,
-                             const core::HeartbeatRecord& rec,
-                             core::TargetRate target) {
-  publish_frame(slots()[seq % capacity_], seq, app, {&rec, 1}, target);
-  ring_doorbell();
-}
-
-std::uint64_t ShmIngestQueue::append(std::string_view app,
-                                     const core::HeartbeatRecord& rec,
-                                     core::TargetRate target) {
-  const std::uint64_t seq = claim(1);
-  ShmMetrics::get().records->add(1);
-  publish(seq, app, rec, target);
-  return seq;
+  // Publish only over our own marker. If a later lap re-claimed the slot
+  // meanwhile, consumers already count this frame as dropped, and a plain
+  // store would overwrite the newer claim with a stale commit that reads
+  // as "claimer not yet stamped" until the torn limit fires.
+  // relaxed: the failure order; a lost slot publishes nothing to order.
+  slot.commit.compare_exchange_strong(mine, seq + 1, std::memory_order_release,
+                                      std::memory_order_relaxed);
 }
 
 std::uint64_t ShmIngestQueue::append_batch(
@@ -504,131 +524,47 @@ std::uint64_t ShmIngestQueue::append_batch(
   return first;
 }
 
-// -------------------------------------------------------------- fast lanes
-
-int ShmIngestQueue::claim_lane() {
-  ShmIngestLane* lanes = lane_headers();
-  const std::uint64_t token = next_owner_token();
-  // Pass 0 takes free lanes; pass 1 reclaims lanes whose owner process
-  // died without releasing (kill(pid, 0) == ESRCH). A reclaimed lane
-  // keeps its head — the new owner continues the frame sequence, and any
-  // unpublished tail the dead owner claimed is bounded by the consumer's
-  // stall budget exactly like a shared-ring crash.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::uint32_t i = 0; i < lane_count_; ++i) {
-      std::uint64_t cur = lanes[i].owner.load(std::memory_order_acquire);
-      const bool takeable =
-          pass == 0 ? cur == 0 : (cur != 0 && owner_pid_dead(cur));
-      if (!takeable) continue;
-      if (lanes[i].owner.compare_exchange_strong(cur, token,
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_acquire)) {
-        lane_tokens_[i] = token;
-        return static_cast<int>(i);
-      }
-    }
-  }
-  return -1;
-}
-
-void ShmIngestQueue::release_lane(int lane) {
-  if (lane < 0 || lane >= static_cast<int>(lane_count_)) return;
-  std::uint64_t token = lane_tokens_[lane];
-  if (token == 0) return;
-  lane_tokens_[lane] = 0;
-  // CAS rather than blind store: defensive against a (buggy) double
-  // release racing a fresh claim — only our own token is ever cleared.
-  lane_headers()[lane].owner.compare_exchange_strong(
-      token, 0, std::memory_order_acq_rel, std::memory_order_acquire);
-}
-
-std::uint64_t ShmIngestQueue::append_batch_lane(
-    int lane, std::string_view app,
-    std::span<const core::HeartbeatRecord> recs, core::TargetRate target) {
-  if (lane < 0 || lane >= static_cast<int>(lane_count_)) {
-    return append_batch(app, recs, target);
-  }
-  ShmIngestLane& ln = lane_headers()[lane];
-  // relaxed: the lane owner is the only writer of the lane head, and the
-  // caller serializes its own appends — this is a self-read.
-  std::uint64_t h = ln.head.load(std::memory_order_relaxed);
-  if (recs.empty()) return h;
-  const std::uint64_t first = h;
-  ShmIngestSlot* arr = lane_slots(static_cast<std::uint32_t>(lane));
-  std::uint64_t frames = 0;
-  for (std::size_t i = 0; i < recs.size();) {
-    const std::size_t n = count_packable(recs, i);
-    publish_frame(arr[h % lane_capacity_], h, app, recs.subspan(i, n), target);
-    // Advertise AFTER the frame commit: a consumer that acquires this
-    // head is guaranteed to find the commit word already published.
-    ln.head.store(h + 1, std::memory_order_release);
-    ++h;
-    ++frames;
-    i += n;
-  }
-  const ShmMetrics& metrics = ShmMetrics::get();
-  metrics.lane_frames->add(frames);
-  metrics.records->add(recs.size());
-  ring_doorbell();
-  return first;
-}
-
-std::uint64_t ShmIngestQueue::lane_owner(std::uint32_t lane) const {
-  if (lane >= lane_count_) return 0;
-  return lane_headers()[lane].owner.load(std::memory_order_acquire);
-}
-
-std::uint64_t ShmIngestQueue::lane_produced(std::uint32_t lane) const {
-  if (lane >= lane_count_) return 0;
-  return lane_headers()[lane].head.load(std::memory_order_acquire);
-}
-
 // -------------------------------------------------------------- consumers
 
 bool ShmIngestQueue::has_frames(const Cursor& cur) const {
-  if (header()->head.load(std::memory_order_acquire) > cur.main.next) {
-    return true;
-  }
-  const ShmIngestLane* lanes = lane_headers();
-  for (std::uint32_t i = 0; i < lane_count_; ++i) {
-    if (lanes[i].head.load(std::memory_order_acquire) > cur.lanes[i].next) {
-      return true;
-    }
-  }
-  return false;
+  const std::uint64_t head = header()->head.load(std::memory_order_acquire);
+  if (head <= cur.next) return false;
+  if (head > cur.next + capacity_) return true;  // lapped: drain skips ahead
+  const std::uint64_t c =
+      slots()[cur.next % capacity_].commit.load(std::memory_order_acquire);
+  const SlotState state = slot_state(c, cur.next);
+  return state == SlotState::kReady || state == SlotState::kLapped;
 }
 
 ShmIngestQueue::Cursor ShmIngestQueue::tail_cursor() const {
   Cursor cur;
-  cur.main.next = header()->head.load(std::memory_order_acquire);
-  const ShmIngestLane* lanes = lane_headers();
-  for (std::uint32_t i = 0; i < lane_count_; ++i) {
-    cur.lanes[i].next = lanes[i].head.load(std::memory_order_acquire);
-  }
+  cur.next = header()->head.load(std::memory_order_acquire);
   return cur;
 }
 
-std::size_t ShmIngestQueue::drain_stream(const ShmIngestSlot* arr,
-                                         std::uint64_t cap, std::uint64_t head,
-                                         StreamCursor& sc, bool lane,
-                                         Cursor& totals, const DrainFn& fn) {
+std::size_t ShmIngestQueue::drain(Cursor& cur, const DrainFn& fn) {
+  // Mirror the cursor's per-drain deltas into the process-wide registry on
+  // exit (one add per counter per drain, not per record).
+  const std::uint64_t dropped_before = cur.dropped;
+  const std::uint64_t torn_before = cur.torn;
+  const ShmIngestSlot* arr = slots();
+  const std::uint64_t cap = capacity_;
+  const std::uint64_t head = header()->head.load(std::memory_order_acquire);
+
   // Producers lapped this consumer before it even looked: everything below
   // head - capacity is gone (its slots now belong to newer seqs).
-  if (head > sc.next + cap) {
-    totals.dropped += head - cap - sc.next;
-    sc.next = head - cap;
-    sc.stalls = 0;
+  if (head > cur.next + cap) {
+    cur.dropped += head - cap - cur.next;
+    cur.next = head - cap;
+    cur.blocked_since_ns = 0;
   }
 
   std::size_t delivered = 0;
-  // Once the stall budget fires, the whole contiguous run of uncommitted
-  // slots is almost certainly one crashed producer's claimed batch — skip
-  // it in this pass instead of paying the budget again per slot.
-  bool skipping_run = false;
-  while (sc.next < head) {
-    const ShmIngestSlot& slot = arr[sc.next % cap];
+  while (cur.next < head) {
+    const ShmIngestSlot& slot = arr[cur.next % cap];
     const std::uint64_t c1 = slot.commit.load(std::memory_order_acquire);
-    if (c1 == sc.next + 1) {
+    const SlotState state = slot_state(c1, cur.next);
+    if (state == SlotState::kReady) {
       // Copy out, then re-check the seqlock word.
       ShmIngestSlot::Body body;
       util::tsan_relaxed_copy(body, slot.body);
@@ -653,73 +589,31 @@ std::size_t ShmIngestQueue::drain_stream(const ShmIngestSlot* arr,
           fn(std::string_view(body.app), rec, target);
         }
         delivered += n;
-        totals.consumed += n;
-        ++totals.consumed_frames;
-        if (lane) totals.lane_records += n;
-        ++sc.next;
-        sc.stalls = 0;
-        skipping_run = false;
-        continue;
+        cur.consumed += n;
+        ++cur.consumed_frames;
+      } else {
+        // Overwritten mid-copy: a producer lapped us; this frame is
+        // unrecoverable but the copy was never delivered, so nothing torn
+        // ever reaches the hub.
+        ++cur.dropped;
       }
-      // Overwritten mid-copy: a producer lapped us; this frame is
-      // unrecoverable but the copy was never delivered, so nothing torn
-      // ever reaches the hub.
-      ++totals.dropped;
-      ++sc.next;
-      sc.stalls = 0;
-      skipping_run = false;
-      continue;
+    } else if (state == SlotState::kLapped) {
+      ++cur.dropped;
+    } else {
+      // In flight: wait for the claimer unless it is provably gone (its
+      // own marker names a dead pid) or the slot has blocked us too long.
+      const util::TimeNs now = util::MonotonicClock{}.now();
+      if (cur.blocked_since_ns == 0) cur.blocked_since_ns = now;
+      const bool dead = state == SlotState::kClaimed && marker_pid_dead(c1);
+      if (!dead && now - cur.blocked_since_ns < kIngestTornAfterNs) break;
+      ++cur.torn;
     }
-    if (c1 > sc.next + 1) {
-      // A later lap already committed here; this frame was overwritten.
-      ++totals.dropped;
-      ++sc.next;
-      sc.stalls = 0;
-      skipping_run = false;
-      continue;
-    }
-    // commit == 0 or a previous lap's value: the producer that claimed
-    // this seq has not published yet — in flight, or dead mid-batch. Give
-    // it kIngestMaxStallDrains drains, then skip the slot (and the rest of
-    // its uncommitted run) for good.
-    if (skipping_run || sc.stalls >= kIngestMaxStallDrains) {
-      ++totals.torn;
-      ++sc.next;
-      sc.stalls = 0;
-      skipping_run = true;
-      continue;
-    }
-    ++sc.stalls;  // one stall credit per drain call
-    break;
-  }
-  return delivered;
-}
-
-std::size_t ShmIngestQueue::drain(Cursor& cur, const DrainFn& fn) {
-  // Mirror the cursor's per-drain deltas into the process-wide registry on
-  // exit (one add per counter per drain, not per record).
-  const std::uint64_t dropped_before = cur.dropped;
-  const std::uint64_t torn_before = cur.torn;
-  const std::uint64_t lane_before = cur.lane_records;
-
-  std::size_t delivered =
-      drain_stream(slots(), capacity_,
-                   header()->head.load(std::memory_order_acquire), cur.main,
-                   /*lane=*/false, cur, fn);
-
-  const ShmIngestLane* lanes = lane_headers();
-  for (std::uint32_t i = 0; i < lane_count_; ++i) {
-    const std::uint64_t lh = lanes[i].head.load(std::memory_order_acquire);
-    if (lh == cur.lanes[i].next) continue;
-    delivered += drain_stream(lane_slots(i), lane_capacity_, lh, cur.lanes[i],
-                              /*lane=*/true, cur, fn);
+    ++cur.next;
+    cur.blocked_since_ns = 0;
   }
 
   const ShmMetrics& metrics = ShmMetrics::get();
   if (delivered > 0) metrics.drained->add(delivered);
-  if (cur.lane_records > lane_before) {
-    metrics.lane_drained->add(cur.lane_records - lane_before);
-  }
   if (cur.dropped > dropped_before) {
     metrics.dropped->add(cur.dropped - dropped_before);
   }
@@ -748,13 +642,9 @@ ShmHubSink::ShmHubSink(std::shared_ptr<core::BeatStore> inner,
       opts_(opts) {
   if (opts_.flush_every == 0) opts_.flush_every = 1;
   buf_.reserve(opts_.flush_every);
-  lane_ = queue_->claim_lane();
 }
 
-ShmHubSink::~ShmHubSink() {
-  flush();
-  if (lane_ >= 0) queue_->release_lane(lane_);
-}
+ShmHubSink::~ShmHubSink() { flush(); }
 
 std::uint64_t ShmHubSink::append(const core::HeartbeatRecord& rec) {
   const std::uint64_t seq = inner_->append(rec);
@@ -781,13 +671,7 @@ void ShmHubSink::flush() {
 
 void ShmHubSink::flush_locked() {
   if (buf_.empty()) return;
-  // mu_ is what makes the lane's single-writer contract hold: every
-  // append_batch_lane on this sink's lane goes through this method.
-  if (lane_ >= 0) {
-    queue_->append_batch_lane(lane_, app_, buf_, inner_->target());
-  } else {
-    queue_->append_batch(app_, buf_, inner_->target());
-  }
+  queue_->append_batch(app_, buf_, inner_->target());
   buf_.clear();
 }
 

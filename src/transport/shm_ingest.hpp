@@ -8,7 +8,7 @@
 // ring in shared memory that any process can append BeatRecord batches
 // into, and that one pump (hub/ShmIngestPump) drains into a HeartbeatHub.
 //
-// Format v2 adds three fast-path levers on top of the v1 ring:
+// Format v3 is one shared ring with two levers on top of the v1 shape:
 //
 //   * PACKED FRAMES — a slot no longer carries one beat. Each 128-byte
 //     slot is a *frame* holding up to kIngestFrameRecords compact records
@@ -18,41 +18,46 @@
 //   * FUTEX DOORBELL — two words in the header (doorbell generation +
 //     parked count) let the consumer block in the kernel instead of
 //     polling. Producers ring only when a consumer is parked
-//     (one relaxed load on the hot path). See wait_for_frames().
-//   * SPSC FAST LANES — a small array of per-producer lanes, claimed by
-//     CAS on an owner word, whose single writer publishes frames with a
-//     plain release store instead of the contended MPSC fetch_add. The
-//     same consumer pass drains them with identical lap/torn semantics;
-//     lanes whose owner pid has died are reclaimed by the next claimant.
+//     (one fence + one relaxed load on the hot path). See wait_for_frames().
+//
+// There are no per-producer rings: fleet traffic needs the shared ring's
+// pooled depth (one generator process can back up thousands of records
+// while the consumer is busy publishing), and thousands of sinks would
+// compete for any fixed set of private rings. See ARCHITECTURE.md "The
+// ingest fast path".
 //
 // Segment layout (all fixed-width, standard-layout, address-free atomics —
 // the same ABI discipline as transport/shm_layout.hpp):
 //
-//   offset 0 : ShmIngestHeader                 (128 bytes, magic last)
-//   then     : ShmIngestLane[kIngestLanes]     (64 bytes each)
-//   then     : ShmIngestSlot[capacity]         (128 bytes each, MPSC ring)
-//   then     : ShmIngestSlot[lanes * lane_cap] (SPSC lane rings)
+//   offset 0 : ShmIngestHeader          (128 bytes, magic last)
+//   then     : ShmIngestSlot[capacity]  (128 bytes each)
 //
-// Concurrency protocol (shared by the MPSC ring and every lane):
-//   * A producer claims n consecutive frame sequence numbers — with ONE
-//     fetch_add on header.head for the shared ring, or (lane owner only)
-//     by advancing the lane head with a release store after each publish.
-//   * Each claimed slot s is written seqlock-style: commit <- 0
-//     (invalidate, release), payload, commit <- s + 1 (publish, release).
-//   * The consumer keeps a private Cursor (next expected frame per
-//     stream) and walks [cursor, head). commit == s + 1 before AND after
-//     the copy accepts a frame; commit from a later lap means the frame
-//     was overwritten (counted as dropped); commit still missing means
-//     the claiming producer is in flight — or crashed mid-batch. After
-//     kIngestMaxStallDrains drains blocked on the same slot the consumer
-//     skips it (counted as torn), so a producer that dies between claim
-//     and publish can never wedge the fleet pipeline.
+// Concurrency protocol:
+//   * A producer claims n consecutive frame sequence numbers with ONE
+//     fetch_add on header.head, then stamps each claimed slot's commit
+//     word with an in-flight marker naming its pid and the frame seq
+//     (ingest_claim_marker()), then a release fence.
+//   * Each claimed slot s is then written seqlock-style: payload, then
+//     commit <- s + 1 (publish, release). The marker is the invalidation.
+//   * Stamp and commit are both CASes that only move a slot forward in
+//     seq, so a producer lapped mid-publish leaves the newer lap's value
+//     alone (its own frame counts as dropped).
+//   * The consumer keeps a private Cursor (next expected frame) and walks
+//     [cursor, head). commit == s + 1 before AND after the copy accepts a
+//     frame; a commit or marker from a later lap means the frame was
+//     overwritten (counted as dropped). Anything else means the claiming
+//     producer is in flight, and the consumer waits for it. It tears the
+//     slot (counted as torn) in exactly two cases: the slot's own marker
+//     names a dead pid, or the slot has blocked the cursor for
+//     kIngestTornAfterNs (a producer that died between its fetch_add and
+//     its marker store, or a dead pid reused by a live process). A live,
+//     merely slow producer's frame is never torn.
 //
-// Accounting units: `dropped` and `torn` count FRAMES (exactly v1's
-// slot-unit semantics — a lost slot is a lost slot); `consumed` counts
-// RECORDS delivered. In any no-loss configuration the record count is
-// exact; under loss, consumed_frames + dropped + torn always equals the
-// frames produced, so nothing is ever silently unaccounted.
+// Accounting units: `dropped` and `torn` count FRAMES (a lost slot is a
+// lost slot); `consumed` counts RECORDS delivered. In any no-loss
+// configuration the record count is exact; under loss, consumed_frames +
+// dropped + torn always equals the frames produced, so nothing is ever
+// silently unaccounted.
 //
 // Because slots are read non-destructively, any number of independent
 // consumers (each with its own Cursor) may drain the same ring — e.g. the
@@ -80,10 +85,10 @@
 namespace hb::transport {
 
 inline constexpr std::uint64_t kShmIngestMagic = 0x3151494248ULL;  // "HBIQ1"
-/// v2: packed multi-record frames, doorbell words, SPSC fast lanes.
-/// attach() rejects any other version — a stale v1 ring file must be
-/// removed (see OPERATIONS.md), never reinterpreted.
-inline constexpr std::uint32_t kShmIngestVersion = 2;
+/// v3: one shared ring of packed frames, doorbell words, in-flight claim
+/// markers. attach() rejects any other version — a stale v1/v2 ring file
+/// must be removed (see OPERATIONS.md), never reinterpreted.
+inline constexpr std::uint32_t kShmIngestVersion = 3;
 
 /// Maximum application-name length carried per frame (including NUL).
 /// Longer names are truncated to a 30-byte prefix plus '~' and 8 hex
@@ -94,17 +99,26 @@ inline constexpr std::size_t kIngestNameCap = 40;
 /// Records one 128-byte frame can pack (compact encoding below).
 inline constexpr std::size_t kIngestFrameRecords = 3;
 
-/// Number of SPSC fast lanes in every segment (part of the ABI: lane
-/// headers are always reserved, whether or not producers claim them).
-inline constexpr std::uint32_t kIngestLanes = 8;
+/// How long an uncommitted head-of-line slot may block a consumer before
+/// it is torn even though no dead claimer is named: covers a producer that
+/// died between its head fetch_add and its marker store, and a dead pid
+/// reused by a live process.
+inline constexpr util::TimeNs kIngestTornAfterNs = util::kNsPerSec;
 
-/// Default frames per lane ring. Lanes absorb one producer's burst between
-/// consumer passes; they do not need the shared ring's full depth.
-inline constexpr std::uint32_t kIngestDefaultLaneCapacity = 256;
+/// In-flight marker a producer stamps into a claimed slot's commit word:
+/// bit 63 set, the low 41 bits of the frame seq, and the claimer's pid
+/// (< 2^22 = the largest pid_max on 64-bit Linux). Committed values are
+/// seq + 1 and never have bit 63 set.
+inline constexpr std::uint64_t kIngestMarkerBit = 1ULL << 63;
+inline constexpr int kIngestMarkerPidBits = 22;
+inline constexpr std::uint64_t kIngestMarkerSeqMask = (1ULL << 41) - 1;
 
-/// Consecutive drain() calls a claimed-but-unpublished frame may block its
-/// stream before the consumer skips it as torn (crashed producer).
-inline constexpr std::uint32_t kIngestMaxStallDrains = 3;
+constexpr std::uint64_t ingest_claim_marker(std::uint64_t seq,
+                                            std::uint32_t pid) {
+  return kIngestMarkerBit |
+         ((seq & kIngestMarkerSeqMask) << kIngestMarkerPidBits) |
+         (pid & ((1U << kIngestMarkerPidBits) - 1));
+}
 
 struct ShmIngestHeader {
   /// Stored LAST during create() (release), checked first by attach()
@@ -114,8 +128,6 @@ struct ShmIngestHeader {
   std::uint32_t slot_size = 0;      ///< sizeof(ShmIngestSlot); ABI self-check
   std::uint32_t capacity = 0;       ///< frames in the shared MPSC ring
   std::uint32_t creator_pid = 0;    ///< pid of the creating process
-  std::uint32_t lane_count = 0;     ///< SPSC lanes (== kIngestLanes today)
-  std::uint32_t lane_capacity = 0;  ///< frames per lane ring
   /// Total frames ever claimed from the shared ring; the next frame
   /// sequence handed to a producer. Monotonic; may run arbitrarily far
   /// ahead of any consumer.
@@ -131,7 +143,7 @@ struct ShmIngestHeader {
   std::atomic<std::uint32_t> parked{0};
   /// Total doorbell rings ever performed (diagnostic).
   std::atomic<std::uint64_t> rings{0};
-  std::uint8_t pad[72] = {};
+  std::uint8_t pad[80] = {};
 };
 
 static_assert(std::is_standard_layout_v<ShmIngestHeader>);
@@ -139,21 +151,6 @@ static_assert(sizeof(ShmIngestHeader) == 128, "header layout is part of the ABI"
 static_assert(std::atomic<std::uint64_t>::is_always_lock_free &&
                   std::atomic<std::uint32_t>::is_always_lock_free,
               "cross-process atomics must be address-free");
-
-/// Per-lane control block. The owner word is 0 when free, else
-/// (claim_nonce << 32) | owner_pid — the pid half lets any process detect
-/// a dead owner (kill(pid, 0) == ESRCH) and reclaim; the nonce half keeps
-/// two claims by one process (or a recycled pid) from colliding on CAS.
-struct ShmIngestLane {
-  std::atomic<std::uint64_t> owner{0};
-  /// Frames published to this lane. Owner-only writer: advanced with a
-  /// release store after each frame commit — no RMW, no contention.
-  std::atomic<std::uint64_t> head{0};
-  std::uint8_t pad[48] = {};
-};
-
-static_assert(std::is_standard_layout_v<ShmIngestLane>);
-static_assert(sizeof(ShmIngestLane) == 64, "one cache line per lane header");
 
 struct ShmIngestSlot {
   /// Everything the seqlock word protects, as one trivially copyable
@@ -184,7 +181,8 @@ struct ShmIngestSlot {
     std::uint32_t reserved = 0;
   };
 
-  /// Seqlock word: 0 = empty/being written, s+1 = frame with ring seq s.
+  /// Seqlock word: 0 = never written, s+1 = frame with ring seq s,
+  /// ingest_claim_marker(s, pid) = claimed for seq s, being written.
   std::atomic<std::uint64_t> commit{0};
   Body body{};
 };
@@ -194,28 +192,23 @@ static_assert(std::is_trivially_copyable_v<ShmIngestSlot::Body>);
 static_assert(sizeof(ShmIngestSlot::Body) == 120, "payload layout is ABI");
 static_assert(sizeof(ShmIngestSlot) == 128, "two cache lines per frame");
 
-/// Total segment size for a given shared-ring capacity and lane depth.
-constexpr std::size_t shm_ingest_segment_size(
-    std::uint32_t capacity, std::uint32_t lane_capacity = kIngestDefaultLaneCapacity) {
-  return sizeof(ShmIngestHeader) + kIngestLanes * sizeof(ShmIngestLane) +
-         static_cast<std::size_t>(capacity) * sizeof(ShmIngestSlot) +
-         static_cast<std::size_t>(kIngestLanes) * lane_capacity *
-             sizeof(ShmIngestSlot);
+/// Total segment size for a given ring capacity.
+constexpr std::size_t shm_ingest_segment_size(std::uint32_t capacity) {
+  return sizeof(ShmIngestHeader) +
+         static_cast<std::size_t>(capacity) * sizeof(ShmIngestSlot);
 }
 
 class ShmIngestQueue {
  public:
   /// Create a fresh ring file (O_EXCL: fails with std::system_error
-  /// (EEXIST) if the path already exists). `capacity` is clamped to >= 2,
-  /// `lane_capacity` to >= 2.
+  /// (EEXIST) if the path already exists). `capacity` is clamped to >= 2.
   static std::shared_ptr<ShmIngestQueue> create(
-      const std::filesystem::path& file, std::uint32_t capacity,
-      std::uint32_t lane_capacity = kIngestDefaultLaneCapacity);
+      const std::filesystem::path& file, std::uint32_t capacity);
 
   /// Attach to an existing ring. Retries briefly while a concurrent
   /// create() is still initializing the header; throws std::runtime_error
-  /// on missing file or bad magic/version/layout (a v1 ring file is a
-  /// version mismatch — remove it and let a producer recreate v2).
+  /// on missing file or bad magic/version/layout (a v1/v2 ring file is a
+  /// version mismatch — remove it and let a producer recreate v3).
   static std::shared_ptr<ShmIngestQueue> attach(const std::filesystem::path& file);
 
   /// Create-or-attach, safe against concurrent openers: first successful
@@ -230,74 +223,33 @@ class ShmIngestQueue {
 
   // ------------------------------------------------------------- producers
 
-  /// Append one beat under `app`. Thread- and process-safe; lock-free
-  /// (one fetch_add + one frame write). Returns the frame sequence number.
-  std::uint64_t append(std::string_view app, const core::HeartbeatRecord& rec,
-                       core::TargetRate target);
-
   /// Append a batch for one app with a single head claim, packing up to
-  /// kIngestFrameRecords records per frame. Returns the first frame
-  /// sequence number.
+  /// kIngestFrameRecords records per frame. Thread- and process-safe;
+  /// lock-free. Returns the first frame sequence number.
   std::uint64_t append_batch(std::string_view app,
                              std::span<const core::HeartbeatRecord> recs,
                              core::TargetRate target);
 
-  /// Low-level two-phase producer API (one single-record frame per seq).
-  /// A process that claims and then dies before publishing leaves torn
-  /// frames, which consumers skip after a bounded stall — tests use
-  /// claim() alone to model exactly that crash.
+  /// Claim n consecutive frames and stamp each slot with this process's
+  /// in-flight marker; append_batch() is claim + publish. Public because
+  /// claim() alone models a producer that dies mid-publish: consumers wait
+  /// on the claimed slots while the pid lives (up to kIngestTornAfterNs)
+  /// and tear them at once after it exits.
   std::uint64_t claim(std::uint64_t n);
-  void publish(std::uint64_t seq, std::string_view app,
-               const core::HeartbeatRecord& rec, core::TargetRate target);
-
-  // ------------------------------------------------------------ fast lanes
-
-  /// Claim an SPSC fast lane for this queue handle. First pass takes a
-  /// free lane (owner CAS 0 -> self); second pass reclaims a lane whose
-  /// owner pid no longer exists (producer died — its unpublished tail, if
-  /// any, is skipped as torn by the consumer's stall budget). Returns the
-  /// lane index, or -1 when all lanes are held by live producers (callers
-  /// fall back to the shared ring).
-  int claim_lane();
-
-  /// Release a lane claimed by THIS handle (no-op for -1 / foreign lanes).
-  void release_lane(int lane);
-
-  /// Append a batch into a claimed lane. SINGLE WRITER: only the lane
-  /// owner may call, one call at a time (ShmHubSink serializes under its
-  /// mutex). No fetch_add — frames commit then advertise with a release
-  /// store on the lane head. Returns the first lane frame sequence.
-  std::uint64_t append_batch_lane(int lane, std::string_view app,
-                                  std::span<const core::HeartbeatRecord> recs,
-                                  core::TargetRate target);
-
-  std::uint32_t lane_count() const { return lane_count_; }
-  std::uint32_t lane_capacity() const { return lane_capacity_; }
-  /// Current owner word of a lane (0 = free). Diagnostic.
-  std::uint64_t lane_owner(std::uint32_t lane) const;
-  /// Frames ever published to a lane (lane head).
-  std::uint64_t lane_produced(std::uint32_t lane) const;
 
   // -------------------------------------------------------------- consumers
-
-  /// Per-stream drain state: next expected frame + stall credit against
-  /// the head-of-line slot.
-  struct StreamCursor {
-    std::uint64_t next = 0;   ///< next frame seq to read
-    std::uint32_t stalls = 0; ///< consecutive drains blocked on one slot
-    std::uint32_t pad = 0;
-  };
 
   /// Per-consumer drain state. Plain value; each independent consumer owns
   /// one. All counters are cumulative across drain() calls.
   struct Cursor {
-    StreamCursor main{};                   ///< shared MPSC ring
-    StreamCursor lanes[kIngestLanes] = {}; ///< one per fast lane
+    std::uint64_t next = 0;  ///< next frame seq to read
+    /// Monotonic time the head-of-line slot first blocked this cursor
+    /// uncommitted (0 = not blocked).
+    util::TimeNs blocked_since_ns = 0;
     std::uint64_t consumed = 0;         ///< RECORDS delivered to the sink
     std::uint64_t consumed_frames = 0;  ///< frames those records arrived in
-    std::uint64_t lane_records = 0;     ///< subset of consumed from fast lanes
     std::uint64_t dropped = 0;  ///< FRAMES overwritten before this consumer read them
-    std::uint64_t torn = 0;     ///< FRAMES skipped uncommitted (crashed producer)
+    std::uint64_t torn = 0;     ///< FRAMES whose producer died mid-publish (or stalled > 1 s)
   };
 
   /// Sink for drained records. `app` points into a stack copy — valid only
@@ -306,21 +258,21 @@ class ShmIngestQueue {
       std::string_view app, const core::HeartbeatRecord& rec,
       core::TargetRate target)>;
 
-  /// Drain every committed frame in [cursor, head) of the shared ring and
-  /// every lane, in per-stream ring order. Stops early (per stream) at an
-  /// in-flight slot; after the same slot has blocked kIngestMaxStallDrains
-  /// consecutive drains it — and the contiguous run of uncommitted slots
-  /// behind it, which is almost certainly the same crashed producer's
-  /// claimed batch — is skipped and counted in Cursor::torn. Frames lapped
-  /// by producers are counted in Cursor::dropped, never delivered torn.
+  /// Drain every committed frame in [cursor, head), in ring order. Stops
+  /// at an in-flight slot and waits for its producer; the slot is skipped
+  /// and counted in Cursor::torn only when its marker names a dead pid or
+  /// it has blocked the cursor for kIngestTornAfterNs. Frames lapped by
+  /// producers are counted in Cursor::dropped, never delivered torn.
   /// Returns records delivered.
   std::size_t drain(Cursor& cur, const DrainFn& fn);
 
-  /// A cursor positioned at the current heads of every stream (the
-  /// "ignore the retained backlog, watch from now" starting point).
+  /// A cursor positioned at the current head (the "ignore the retained
+  /// backlog, watch from now" starting point).
   Cursor tail_cursor() const;
 
-  /// True when any stream has frames the cursor has not consumed.
+  /// True when drain() can make progress without waiting: the head-of-line
+  /// slot is committed or lapped. An in-flight head-of-line slot reads as
+  /// "nothing yet", so wait_for_frames() parks until its producer commits.
   bool has_frames(const Cursor& cur) const;
 
   // -------------------------------------------------------------- doorbell
@@ -333,19 +285,18 @@ class ShmIngestQueue {
 
   /// Block until a producer publishes frames, for at most `timeout_ns`.
   /// Park/ring protocol: the consumer samples the doorbell generation,
-  /// advertises itself in `parked` (seq_cst), RE-CHECKS for frames, then
-  /// FUTEX_WAITs on the sampled generation. A producer commits frames
-  /// first and only then checks `parked` (one relaxed load); the bounded
-  /// timeout covers the narrow race the relaxed check admits (producer
-  /// publish + check completing entirely inside the consumer's park
-  /// window). See ARCHITECTURE.md "The ingest fast path".
+  /// advertises itself in `parked`, fences (seq_cst), RE-CHECKS for
+  /// frames, then FUTEX_WAITs on the sampled generation. A producer
+  /// commits frames, fences (seq_cst), and only then checks `parked`, so
+  /// one side always sees the other. The bounded timeout covers what no
+  /// producer signals: a claimer that died without committing, whose slot
+  /// the next drain() tears. See ARCHITECTURE.md "The ingest fast path".
   WaitResult wait_for_frames(const Cursor& cur, util::TimeNs timeout_ns);
 
   /// Total doorbell rings producers have performed (diagnostic).
   std::uint64_t doorbell_rings() const;
 
-  /// Total frames ever claimed in the shared MPSC ring (ring head). Lane
-  /// frames are advertised per lane — see lane_produced().
+  /// Total frames ever claimed in the ring (ring head).
   std::uint64_t produced() const;
   std::uint32_t capacity() const;
   std::uint32_t creator_pid() const;
@@ -358,15 +309,11 @@ class ShmIngestQueue {
   const ShmIngestHeader* header() const {
     return static_cast<const ShmIngestHeader*>(base_);
   }
-  ShmIngestLane* lane_headers();
-  const ShmIngestLane* lane_headers() const;
   ShmIngestSlot* slots();
   const ShmIngestSlot* slots() const;
-  ShmIngestSlot* lane_slots(std::uint32_t lane);
-  const ShmIngestSlot* lane_slots(std::uint32_t lane) const;
 
   /// Seqlock-write one packed frame (recs.size() <= kIngestFrameRecords,
-  /// all packable together) into `slot` as frame `seq`.
+  /// all packable together) into `slot`, claimed by claim() as frame `seq`.
   static void publish_frame(ShmIngestSlot& slot, std::uint64_t seq,
                             std::string_view app,
                             std::span<const core::HeartbeatRecord> recs,
@@ -380,12 +327,6 @@ class ShmIngestQueue {
   /// Ring the doorbell if (and only if) a consumer is parked.
   void ring_doorbell();
 
-  /// Drain one stream (shared ring or lane) up to `head`. Returns records
-  /// delivered; updates the stream cursor and the cursor-wide totals.
-  std::size_t drain_stream(const ShmIngestSlot* arr, std::uint64_t cap,
-                           std::uint64_t head, StreamCursor& sc, bool lane,
-                           Cursor& totals, const DrainFn& fn);
-
   std::filesystem::path file_;
   void* base_ = nullptr;
   std::size_t bytes_ = 0;
@@ -393,11 +334,6 @@ class ShmIngestQueue {
   /// append path never re-reads the header cache line that producers keep
   /// invalidating with head fetch_adds.
   std::uint32_t capacity_ = 0;
-  std::uint32_t lane_count_ = 0;
-  std::uint32_t lane_capacity_ = 0;
-  /// Owner tokens this handle wrote when claiming lanes (0 = not ours);
-  /// release_lane only releases tokens recorded here.
-  std::uint64_t lane_tokens_[kIngestLanes] = {};
 };
 
 /// Producer-side batching knobs for ShmHubSink.
@@ -423,9 +359,7 @@ struct ShmHubSinkOptions {
 /// wrapped store (which keeps serving in-process rate queries and, if it
 /// is a registry ShmStore, stays observer-walkable) and are batched into
 /// the ring with the store-assigned sequence number and current target.
-/// Each sink claims an SPSC fast lane at construction and publishes through
-/// it, skipping the contended MPSC fetch_add; once every lane is held by a
-/// live producer, further sinks publish on the shared ring.
+/// Every flush is one append_batch() on the shared ring.
 class ShmHubSink final : public core::BeatStore {
  public:
   /// Mirrors appends on `inner` into `queue` under name `app`.
@@ -433,7 +367,7 @@ class ShmHubSink final : public core::BeatStore {
              std::shared_ptr<ShmIngestQueue> queue, std::string app,
              ShmHubSinkOptions opts = {});
 
-  /// Flushes any buffered tail batch and releases the fast lane.
+  /// Flushes any buffered tail batch.
   ~ShmHubSink() override;
 
   std::uint64_t append(const core::HeartbeatRecord& rec) override;
@@ -456,8 +390,6 @@ class ShmHubSink final : public core::BeatStore {
 
   const std::shared_ptr<core::BeatStore>& inner() const { return inner_; }
   const std::string& app() const { return app_; }
-  /// Fast-lane index this sink publishes through, or -1 (shared ring).
-  int lane() const { return lane_; }
 
   /// StoreFactory adapter: builds the inner store with `inner_factory`
   /// (default: the in-process MemoryStore factory Heartbeat uses), then
@@ -476,7 +408,6 @@ class ShmHubSink final : public core::BeatStore {
   std::shared_ptr<ShmIngestQueue> queue_;
   std::string app_;
   ShmHubSinkOptions opts_;
-  int lane_ = -1;
 
   util::Mutex mu_;
   std::vector<core::HeartbeatRecord> buf_ HB_GUARDED_BY(mu_);

@@ -231,9 +231,9 @@ TEST(ConcurrencyStress, TraceRingWrapWritersVsSnapshot) {
 //
 // Multi-process-grade ring exercised in-process: producers append while a
 // consumer drains concurrently. The protocol's books must balance exactly:
-// every claimed sequence number is eventually consumed, dropped (lapped),
-// or skipped as torn — and nothing delivered may be torn (records carry
-// tag == timestamp, which a torn copy would break).
+// every claimed sequence number is eventually consumed or dropped (lapped)
+// — producers are live, so nothing is torn — and nothing delivered may be
+// torn either (records carry tag == timestamp, which a torn copy breaks).
 TEST(ConcurrencyStress, ShmRingProducersVsConsumerConservation) {
   constexpr std::size_t kProducers = 4;
   const std::size_t beats_per_producer = scaled(8000);
@@ -254,7 +254,7 @@ TEST(ConcurrencyStress, ShmRingProducersVsConsumerConservation) {
         core::HeartbeatRecord rec;
         rec.timestamp_ns = static_cast<util::TimeNs>(stamp);
         rec.tag = stamp;
-        queue->append(app, rec, core::TargetRate{1.0, 2.0});
+        queue->append_batch(app, {&rec, 1}, core::TargetRate{1.0, 2.0});
       }
       producers_done.fetch_add(1, std::memory_order_acq_rel);
     });
@@ -278,19 +278,18 @@ TEST(ConcurrencyStress, ShmRingProducersVsConsumerConservation) {
   }
   for (std::thread& t : threads) t.join();
   // Producers finished; drain whatever is still committed ahead of us.
-  while (cur.main.next < queue->produced()) {
+  while (cur.next < queue->produced()) {
     queue->drain(cur, sink);
   }
 
   // Conservation: every claimed frame is accounted for exactly once.
-  // append() writes one single-record frame per beat, so frames == beats.
+  // Single-record batches write one frame per beat, so frames == beats.
   EXPECT_EQ(queue->produced(), kProducers * beats_per_producer);
   EXPECT_EQ(cur.consumed_frames + cur.dropped + cur.torn, queue->produced());
   EXPECT_EQ(cur.consumed, delivered);
-  // Live producers never leave torn slots behind for good: every skipped
-  // slot is one a producer later committed — a lap, already counted. A
-  // nonzero torn count here is legal (stall budget under TSan slowness)
-  // but delivery must still have happened for most of the traffic.
+  // Every producer is a live thread: a slot it has claimed is waited for
+  // (or lapped, which counts as dropped), never torn.
+  EXPECT_EQ(cur.torn, 0u);
   EXPECT_GT(delivered, 0u);
 
   queue.reset();
@@ -303,8 +302,8 @@ TEST(ConcurrencyStress, ShmRingProducersVsConsumerConservation) {
 // into FUTEX_WAIT. The protocol's answer is the bounded timeout plus the
 // pre-wait re-check; conservation proves no beat is ever lost to a missed
 // wake (the ring is sized so nothing can drop, so every record must be
-// consumed). Producers alternate the shared MPSC ring and SPSC fast lanes
-// so both publish paths race the park decision.
+// consumed). Every producer publishes on the one ring, so the consumer
+// also parks on slots that are claimed but not yet committed.
 TEST(ConcurrencyStress, ShmRingParkWakeDrill) {
   constexpr std::size_t kProducers = 4;
   const std::size_t beats_per_producer = scaled(4000);
@@ -314,34 +313,23 @@ TEST(ConcurrencyStress, ShmRingParkWakeDrill) {
       fs::temp_directory_path() /
       ("hb_conc_parkwake_" + std::to_string(::getpid()));
   fs::create_directories(dir);
-  // Shared ring and every lane sized to hold the full run: with laps
-  // impossible, conservation must be exact (dropped == torn == 0).
+  // Ring sized to hold the full run: with laps impossible, conservation
+  // must be exact (dropped == torn == 0).
   auto queue = transport::ShmIngestQueue::create(
-      dir / "ring.hbq", static_cast<std::uint32_t>(total),
-      static_cast<std::uint32_t>(beats_per_producer));
+      dir / "ring.hbq", static_cast<std::uint32_t>(total));
 
   std::atomic<std::size_t> producers_done{0};
   std::vector<std::thread> threads;
   for (std::size_t p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
       const std::string app = "app" + std::to_string(p);
-      const int lane = p % 2 == 0 ? queue->claim_lane() : -1;
       for (std::size_t i = 0; i < beats_per_producer; ++i) {
         const std::uint64_t stamp = (p << 48) | i;
         core::HeartbeatRecord rec;
         rec.timestamp_ns = static_cast<util::TimeNs>(stamp);
         rec.tag = stamp;
-        if (lane >= 0) {
-          queue->append_batch_lane(lane, app, {&rec, 1},
-                                   core::TargetRate{1.0, 2.0});
-        } else {
-          queue->append(app, rec, core::TargetRate{1.0, 2.0});
-        }
+        queue->append_batch(app, {&rec, 1}, core::TargetRate{1.0, 2.0});
       }
-      // Lanes stay claimed until the books are checked: releasing early
-      // would let the other lane producer REUSE this lane, and a reused
-      // lane legally laps the consumer (that is drop accounting working,
-      // not a missed wake). The queue destructor releases them.
       producers_done.fetch_add(1, std::memory_order_acq_rel);
     });
   }
@@ -355,18 +343,11 @@ TEST(ConcurrencyStress, ShmRingParkWakeDrill) {
   };
   // The consumer parks EVERY time the ring looks empty — maximum exposure
   // of the park window to racing publishes. The 5ms timeout keeps a
-  // genuinely missed wake from stalling the drill. Tearing is out of
-  // scope: every producer is a live thread that will finish its publish,
-  // so clearing the shared ring's stall credit before each drain keeps a
-  // preempted producer's frame from being skipped after
-  // kIngestMaxStallDrains drains — exact conservation is the point of the
-  // drill. (Lanes advertise only committed frames and never stall.)
-  const auto drain_untorn = [&] {
-    cur.main.stalls = 0;
-    queue->drain(cur, sink);
-  };
+  // genuinely missed wake from stalling the drill. Every producer is a
+  // live thread, so however often the consumer drains, none of their
+  // claimed-but-uncommitted slots may be torn.
   for (;;) {
-    drain_untorn();
+    queue->drain(cur, sink);
     if (producers_done.load(std::memory_order_acquire) == kProducers &&
         !queue->has_frames(cur)) {
       break;
@@ -374,14 +355,14 @@ TEST(ConcurrencyStress, ShmRingParkWakeDrill) {
     queue->wait_for_frames(cur, 5 * util::kNsPerMs);
   }
   for (std::thread& t : threads) t.join();
-  drain_untorn();
+  queue->drain(cur, sink);
 
-  // Nothing could drop, so the books must balance to the record.
+  // Nothing could drop or tear, so the books must balance to the record.
   EXPECT_EQ(delivered, total);
   EXPECT_EQ(cur.consumed, total);
+  EXPECT_EQ(cur.consumed_frames, queue->produced());
   EXPECT_EQ(cur.dropped, 0u);
   EXPECT_EQ(cur.torn, 0u);
-  EXPECT_GT(cur.lane_records, 0u);  // the lane path really ran
 
   queue.reset();
   fs::remove_all(dir);

@@ -368,6 +368,52 @@ TEST(HubTags, TagCountsSlideWithTheWindow) {
   EXPECT_EQ(tag_rollup(hub, 2).beats, 4u);
 }
 
+// The shard keeps its tag rollup current beat by beat; every way a beat
+// leaves an app's window (sliding, time aging, eviction) must take its
+// tag out again, and a tag nobody holds must leave the list.
+TEST(HubTags, RollupFollowsSlidingAgingEvictionAndRevival) {
+  auto clock = std::make_shared<util::ManualClock>();
+  HubOptions opts = manual_opts(clock, 1, 4, /*window=*/3);
+  opts.window_ns = 100 * kNsPerMs;
+  HeartbeatHub hub(opts);
+  const AppId a = hub.register_app("a");
+  const AppId b = hub.register_app("b");
+  for (std::uint64_t tag : {1, 1, 2}) {
+    clock->advance(kNsPerMs);
+    hub.beat(a, tag);
+    hub.beat(b, tag);
+  }
+  EXPECT_EQ(tag_rollup(hub, 1).beats, 4u);
+  EXPECT_EQ(tag_rollup(hub, 1).apps, 2u);
+
+  // Sliding: a's window of 3 drops one tag-1 beat.
+  clock->advance(kNsPerMs);
+  hub.beat(a, 3);
+  EXPECT_EQ(tag_rollup(hub, 1).beats, 3u);
+  EXPECT_EQ(tag_rollup(hub, 1).apps, 2u);
+  clock->advance(kNsPerMs);
+  hub.beat(a, 3);
+  EXPECT_EQ(tag_rollup(hub, 1).beats, 2u);
+  EXPECT_EQ(tag_rollup(hub, 1).apps, 1u);  // only b holds tag 1 now
+
+  // Eviction takes all of b's tags at once.
+  hub.evict(b);
+  EXPECT_EQ(tag_rollup(hub, 1).apps, 0u);
+  EXPECT_EQ(tag_rollup(hub, 2).beats, 1u);
+  ASSERT_EQ(hub.snapshot()->tags().size(), 2u);  // tags 2 and 3, from a
+  EXPECT_EQ(hub.snapshot()->tags().front().tag, 2u);
+
+  // Revival counts again; time aging empties a's window.
+  hub.beat(b, 2);
+  EXPECT_EQ(tag_rollup(hub, 2).beats, 2u);
+  EXPECT_EQ(tag_rollup(hub, 2).apps, 2u);
+  clock->advance(200 * kNsPerMs);
+  hub.beat(b, 4);
+  ASSERT_EQ(hub.snapshot()->tags().size(), 1u);
+  EXPECT_EQ(tag_rollup(hub, 4).beats, 1u);
+  EXPECT_EQ(tag_rollup(hub, 4).apps, 1u);
+}
+
 // --------------------------------------------------------- cluster rollups
 
 TEST(HubCluster, RollupAggregatesAcrossShards) {

@@ -1,6 +1,6 @@
 // Cross-process ingest ring: layout guarantees, batch append/drain,
-// wraparound overflow accounting, crashed-producer torn-slot skipping,
-// ShmHubSink mirroring, and the fork-based multi-process pump smoke (hub
+// wraparound overflow accounting, exact torn-slot rules (a live claimer is
+// waited for, a dead one is torn at once), ShmHubSink mirroring, and the fork-based multi-process pump smoke (hub
 // verdicts via the ring must match in-process ingestion exactly).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -37,6 +38,13 @@ core::HeartbeatRecord rec_at(util::TimeNs ts, std::uint64_t tag = 0) {
   r.timestamp_ns = ts;
   r.tag = tag;
   return r;
+}
+
+// One single-record frame, the shape of a flush_every = 1 sink.
+std::uint64_t append_one(ShmIngestQueue& q, std::string_view app,
+                         const core::HeartbeatRecord& rec,
+                         core::TargetRate target) {
+  return q.append_batch(app, {&rec, 1}, target);
 }
 
 struct Drained {
@@ -73,15 +81,22 @@ class ShmIngestTest : public ::testing::Test {
 
 TEST(ShmIngestLayout, SegmentSizes) {
   EXPECT_EQ(sizeof(ShmIngestHeader), 128u);
-  EXPECT_EQ(sizeof(ShmIngestLane), 64u);
   EXPECT_EQ(sizeof(ShmIngestSlot), 128u);
   EXPECT_EQ(sizeof(ShmIngestSlot::Body), 120u);
-  // header + lane headers + shared ring + lane rings
-  const std::size_t fixed = 128u + kIngestLanes * 64u;
-  EXPECT_EQ(shm_ingest_segment_size(0, 2),
-            fixed + kIngestLanes * 2u * 128u);
-  EXPECT_EQ(shm_ingest_segment_size(64, 16),
-            fixed + 64u * 128u + kIngestLanes * 16u * 128u);
+  // header + ring
+  EXPECT_EQ(shm_ingest_segment_size(0), 128u);
+  EXPECT_EQ(shm_ingest_segment_size(64), 128u + 64u * 128u);
+}
+
+TEST(ShmIngestLayout, ClaimMarkerNeverReadsAsACommit) {
+  // Committed values are seq + 1; a marker always has bit 63 set and keeps
+  // the pid in its low 22 bits and the low 41 seq bits above them.
+  const std::uint64_t m = ingest_claim_marker(5, 4194303);  // max pid
+  EXPECT_NE(m & kIngestMarkerBit, 0u);
+  EXPECT_EQ(m & ((1u << kIngestMarkerPidBits) - 1), 4194303u);
+  EXPECT_EQ((m >> kIngestMarkerPidBits) & kIngestMarkerSeqMask, 5u);
+  EXPECT_EQ(ingest_claim_marker(kIngestMarkerSeqMask + 6, 7),
+            ingest_claim_marker(5, 7));  // seq wraps inside its field
 }
 
 TEST_F(ShmIngestTest, CreateAttachRoundTrip) {
@@ -90,7 +105,7 @@ TEST_F(ShmIngestTest, CreateAttachRoundTrip) {
   EXPECT_EQ(q->produced(), 0u);
   EXPECT_EQ(q->creator_pid(), static_cast<std::uint32_t>(::getpid()));
 
-  q->append("app", rec_at(1 * kNsPerMs), {2.0, 9.0});
+  append_one(*q, "app", rec_at(1 * kNsPerMs), {2.0, 9.0});
   auto observer = ShmIngestQueue::attach(file());
   EXPECT_EQ(observer->produced(), 1u);
   EXPECT_EQ(observer->capacity(), 64u);
@@ -143,7 +158,7 @@ TEST_F(ShmIngestTest, SustainedOverflowCountsDropsNeverCorrupts) {
   // 92 are overwritten. tag mirrors the ring seq so a corrupt (torn or
   // misattributed) delivery is detectable.
   for (std::uint64_t i = 0; i < 100; ++i) {
-    q->append("a", rec_at(static_cast<util::TimeNs>(i), i), {});
+    append_one(*q, "a", rec_at(static_cast<util::TimeNs>(i), i), {});
   }
   ShmIngestQueue::Cursor cur;
   const auto out = drain_all(*q, cur);
@@ -156,41 +171,76 @@ TEST_F(ShmIngestTest, SustainedOverflowCountsDropsNeverCorrupts) {
   }
 
   // The cursor has caught up; later appends drain without further drops.
-  q->append("a", rec_at(200, 100), {});
+  append_one(*q, "a", rec_at(200, 100), {});
   const auto tail = drain_all(*q, cur);
   ASSERT_EQ(tail.size(), 1u);
   EXPECT_EQ(tail[0].rec.tag, 100u);
   EXPECT_EQ(cur.dropped, 92u);
 }
 
-TEST_F(ShmIngestTest, CrashedProducerSlotSkippedAfterStallBudget) {
+TEST_F(ShmIngestTest, LiveClaimerIsWaitedForUntilTheTimeLimit) {
   auto q = ShmIngestQueue::create(file(), 32);
-  // A producer claims a 4-slot batch, publishes 2, and dies.
-  const std::uint64_t first = q->claim(4);
-  q->publish(first + 0, "dead", rec_at(1, 0), {});
-  q->publish(first + 1, "dead", rec_at(2, 1), {});
-  // A healthy producer appends afterwards.
-  q->append("live", rec_at(3, 7), {});
+  // This (live) process claims a frame and sits on it; a healthy producer
+  // appends behind it.
+  q->claim(1);
+  append_one(*q, "live", rec_at(3, 7), {});
 
+  // The consumer waits: however often it drains, a live claimer's slot is
+  // never torn, and has_frames() tells wait_for_frames() to park.
   ShmIngestQueue::Cursor cur;
-  // Drain 1: the two published records come through, then the torn slot
-  // blocks progress.
-  auto out = drain_all(*q, cur);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(cur.main.stalls, 1u);
-  // Further drains stay blocked until the stall budget is spent.
-  for (std::uint32_t d = 2; d <= kIngestMaxStallDrains; ++d) {
+  for (int d = 0; d < 100; ++d) {
     EXPECT_TRUE(drain_all(*q, cur).empty());
-    EXPECT_EQ(cur.main.stalls, d);
+    EXPECT_FALSE(q->has_frames(cur));
   }
-  // Next drain: stall budget exhausted — both torn slots are skipped and
-  // the live producer's record is delivered. The consumer never wedges.
-  out = drain_all(*q, cur);
+  EXPECT_EQ(cur.torn, 0u);
+
+  // A claim held past kIngestTornAfterNs is torn (the claimer may be a
+  // recycled pid), and the record behind it is delivered.
+  std::this_thread::sleep_for(
+      std::chrono::nanoseconds(kIngestTornAfterNs + 50 * kNsPerMs));
+  const auto out = drain_all(*q, cur);
+  EXPECT_EQ(cur.torn, 1u);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].app, "live");
   EXPECT_EQ(out[0].rec.tag, 7u);
+}
+
+// A child inherits the ring handle across fork, appends one record, claims
+// two frames, and dies before publishing them.
+pid_t fork_producer_dying_mid_publish(ShmIngestQueue& q) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    append_one(q, "victim", rec_at(1, 1), {});
+    q.claim(2);
+    ::_exit(0);
+  }
+  return pid;
+}
+
+TEST_F(ShmIngestTest, DeadClaimersFramesAreTornOnTheFirstDrain) {
+  auto q = ShmIngestQueue::create(file(), 32);
+  const pid_t pid = fork_producer_dying_mid_publish(*q);
+  ASSERT_GT(pid, 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  append_one(*q, "heir", rec_at(2, 9), {});
+
+  // The markers name a pid that no longer exists: no waiting, exactly the
+  // two claimed frames are torn, and everything committed arrives.
+  ShmIngestQueue::Cursor cur;
+  auto out = drain_all(*q, cur);
   EXPECT_EQ(cur.torn, 2u);
-  EXPECT_EQ(cur.consumed, 3u);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].app, "victim");
+  EXPECT_EQ(out[1].app, "heir");
+
+  append_one(*q, "heir", rec_at(3, 10), {});
+  out = drain_all(*q, cur);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].rec.tag, 10u);
+  EXPECT_EQ(cur.torn, 2u);
+  EXPECT_EQ(cur.consumed_frames + cur.dropped + cur.torn, q->produced());
 }
 
 TEST_F(ShmIngestTest, OpenReclaimsAbandonedCreation) {
@@ -204,7 +254,7 @@ TEST_F(ShmIngestTest, OpenReclaimsAbandonedCreation) {
   }
   auto q = ShmIngestQueue::open(file(), 16);
   EXPECT_EQ(q->capacity(), 16u);
-  q->append("a", rec_at(1), {});
+  append_one(*q, "a", rec_at(1), {});
   EXPECT_EQ(q->produced(), 1u);
 }
 
@@ -226,8 +276,8 @@ TEST_F(ShmIngestTest, RegistryFactoryRendezvousesAtWellKnownPath) {
 TEST_F(ShmIngestTest, LongNamesStayDistinctAfterTruncation) {
   auto q = ShmIngestQueue::create(file(), 16);
   const std::string prefix(60, 'x');  // both names exceed the 48-byte slot
-  q->append(prefix + "-worker-A", rec_at(1, 0), {});
-  q->append(prefix + "-worker-B", rec_at(2, 1), {});
+  append_one(*q, prefix + "-worker-A", rec_at(1, 0), {});
+  append_one(*q, prefix + "-worker-B", rec_at(2, 1), {});
   ShmIngestQueue::Cursor cur;
   const auto out = drain_all(*q, cur);
   ASSERT_EQ(out.size(), 2u);
@@ -238,29 +288,32 @@ TEST_F(ShmIngestTest, LongNamesStayDistinctAfterTruncation) {
 
 TEST_F(ShmIngestTest, IndependentConsumersSeeTheFullStream) {
   auto q = ShmIngestQueue::create(file(), 16);
-  for (std::uint64_t i = 0; i < 5; ++i) q->append("a", rec_at(1, i), {});
+  for (std::uint64_t i = 0; i < 5; ++i) append_one(*q, "a", rec_at(1, i), {});
   ShmIngestQueue::Cursor c1;
   ShmIngestQueue::Cursor c2;
   EXPECT_EQ(drain_all(*q, c1).size(), 5u);
   EXPECT_EQ(drain_all(*q, c2).size(), 5u);  // non-destructive reads
 }
 
-TEST_F(ShmIngestTest, PumpSkipsTornSlotAfterStallBudget) {
-  // A producer claims a slot and dies unpublished with a live record queued
-  // behind it. Polls return 0 while the stall budget burns; then the pump
-  // skips the torn slot and the record behind the crash reaches the hub.
+TEST_F(ShmIngestTest, PumpTearsDeadClaimersFramesAtOnce) {
+  // The pump-level twin: a producer process dies mid-publish with live
+  // records before and after its claim. One poll tears exactly its two
+  // claimed frames and ingests both records.
   auto q = ShmIngestQueue::create(file(), 32);
   hub::HeartbeatHub hub;
   hub::ShmIngestPump pump(q, hub);
 
-  q->claim(1);
-  q->append("a", rec_at(kNsPerMs), {});
-  for (std::uint32_t i = 0; i < kIngestMaxStallDrains; ++i) {
-    EXPECT_EQ(pump.poll(), 0u);  // blocked on the unpublished slot
-  }
-  EXPECT_EQ(pump.poll(), 1u);  // stall budget spent: torn skipped, record in
-  EXPECT_EQ(pump.stats().torn, 1u);
-  EXPECT_EQ(hub.snapshot()->find(hub.id_of("a"))->total_beats, 1u);
+  const pid_t pid = fork_producer_dying_mid_publish(*q);
+  ASSERT_GT(pid, 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  append_one(*q, "victim", rec_at(kNsPerMs, 2), {});
+
+  EXPECT_EQ(pump.poll(), 2u);
+  EXPECT_EQ(pump.stats().torn, 2u);
+  EXPECT_EQ(pump.stats().dropped, 0u);
+  EXPECT_EQ(hub.snapshot()->find(hub.id_of("victim"))->total_beats, 2u);
 }
 
 TEST_F(ShmIngestTest, HubSinkMirrorsSharedChannelOnly) {
@@ -295,22 +348,20 @@ TEST_F(ShmIngestTest, SinkBatchesAndHonorsMaxHold) {
   auto inner = std::make_shared<core::MemoryStore>(64, true, 10);
   ShmHubSink sink(inner, q, "batchy",
                   {.flush_every = 8, .max_hold_ns = 10 * kNsPerMs});
-  ASSERT_GE(sink.lane(), 0);
-  const auto lane = static_cast<std::uint32_t>(sink.lane());
 
   sink.append(rec_at(0));
   sink.append(rec_at(1 * kNsPerMs));
-  EXPECT_EQ(q->lane_produced(lane), 0u);  // buffered below flush_every
+  EXPECT_EQ(q->produced(), 0u);  // buffered below flush_every
   // 20ms after the oldest buffered beat: the hold bound flushes the batch.
   // The three records share a thread and consecutive store seqs, so the
   // whole flush packs into ONE frame.
   sink.append(rec_at(20 * kNsPerMs));
-  EXPECT_EQ(q->lane_produced(lane), 1u);
+  EXPECT_EQ(q->produced(), 1u);
 
   sink.append(rec_at(21 * kNsPerMs));
-  EXPECT_EQ(q->lane_produced(lane), 1u);
+  EXPECT_EQ(q->produced(), 1u);
   sink.flush();  // manual flush pushes the partial batch
-  EXPECT_EQ(q->lane_produced(lane), 2u);
+  EXPECT_EQ(q->produced(), 2u);
 
   // All four records come through intact despite occupying two frames.
   ShmIngestQueue::Cursor cur;
@@ -322,47 +373,32 @@ TEST_F(ShmIngestTest, SinkBatchesAndHonorsMaxHold) {
   }
 }
 
-TEST_F(ShmIngestTest, SinkFastLaneBypassesSharedRing) {
+TEST_F(ShmIngestTest, EverySinkPacksItsFlushesIntoTheOneRing) {
+  // Many sinks, one ring: every sink publishes on the shared ring, each
+  // 3-record flush packed into one frame.
   auto q = ShmIngestQueue::create(file(), 64);
-  auto inner = std::make_shared<core::MemoryStore>(64, true, 10);
-  ShmHubSink sink(inner, q, "laner", {.flush_every = 3});
-  ASSERT_GE(sink.lane(), 0);
-  EXPECT_NE(q->lane_owner(static_cast<std::uint32_t>(sink.lane())), 0u);
-
-  for (int i = 0; i < 6; ++i) sink.append(rec_at(i * kNsPerMs));
-  // Everything went through the lane: the shared ring never moved, and the
-  // two 3-record flushes packed into one lane frame each.
-  EXPECT_EQ(q->produced(), 0u);
-  EXPECT_EQ(q->lane_produced(static_cast<std::uint32_t>(sink.lane())), 2u);
+  constexpr int kSinks = 12;
+  std::vector<std::unique_ptr<ShmHubSink>> sinks;
+  for (int s = 0; s < kSinks; ++s) {
+    sinks.push_back(std::make_unique<ShmHubSink>(
+        std::make_shared<core::MemoryStore>(64, true, 10), q,
+        "sink" + std::to_string(s), ShmHubSinkOptions{.flush_every = 3}));
+  }
+  for (int i = 0; i < 6; ++i) {
+    for (auto& sink : sinks) sink->append(rec_at(i * kNsPerMs));
+  }
+  EXPECT_EQ(q->produced(), 2u * kSinks);
 
   ShmIngestQueue::Cursor cur;
   const auto out = drain_all(*q, cur);
-  ASSERT_EQ(out.size(), 6u);
-  EXPECT_EQ(cur.lane_records, 6u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].app, "laner");
-    EXPECT_EQ(out[i].rec.seq, i);
+  ASSERT_EQ(out.size(), 6u * kSinks);
+  EXPECT_EQ(cur.consumed_frames, 2u * kSinks);
+  std::vector<std::uint64_t> next_seq(kSinks, 0);
+  for (const Drained& d : out) {
+    const int s = std::stoi(d.app.substr(4));
+    ASSERT_LT(s, kSinks);
+    EXPECT_EQ(d.rec.seq, next_seq[static_cast<std::size_t>(s)]++);
   }
-}
-
-TEST_F(ShmIngestTest, SinkFallsBackToSharedRingWhenLanesRunOut) {
-  auto q = ShmIngestQueue::create(file(), 64);
-  // Every lane held by this live process: the sink gets none.
-  for (std::uint32_t i = 0; i < kIngestLanes; ++i) {
-    ASSERT_GE(q->claim_lane(), 0);
-  }
-  auto inner = std::make_shared<core::MemoryStore>(64, true, 10);
-  ShmHubSink sink(inner, q, "overflow", {.flush_every = 3});
-  EXPECT_EQ(sink.lane(), -1);
-
-  for (int i = 0; i < 3; ++i) sink.append(rec_at(i * kNsPerMs));
-  EXPECT_EQ(q->produced(), 1u);  // one packed frame on the shared ring
-
-  ShmIngestQueue::Cursor cur;
-  const auto out = drain_all(*q, cur);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(cur.lane_records, 0u);
-  EXPECT_EQ(out[0].app, "overflow");
 }
 
 TEST_F(ShmIngestTest, PackedFramesRoundTripExactly) {
@@ -427,68 +463,19 @@ TEST_F(ShmIngestTest, UnpackableRecordsStartFreshFrames) {
 }
 
 TEST_F(ShmIngestTest, VersionMismatchRejectedOnAttach) {
-  auto q = ShmIngestQueue::create(file(), 8);
-  q.reset();
   // Rewrite the header's version field (offset 8, after the u64 magic) to
-  // the retired v1 — exactly what a stale pre-upgrade ring file looks like.
-  std::FILE* f = std::fopen(file().c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  const std::uint32_t old_version = 1;
-  ASSERT_EQ(std::fseek(f, 8, SEEK_SET), 0);
-  std::fwrite(&old_version, sizeof(old_version), 1, f);
-  std::fclose(f);
-  EXPECT_THROW(ShmIngestQueue::attach(file()), std::runtime_error);
-}
-
-TEST_F(ShmIngestTest, LaneReclaimAfterProducerCrash) {
-  auto q = ShmIngestQueue::create(file(), 32);
-  // A child process claims a lane, publishes one record tagged with its
-  // lane index, and dies WITHOUT releasing (simulated crash: _exit skips
-  // destructors).
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    auto child_q = ShmIngestQueue::attach(file());
-    const int lane = child_q->claim_lane();
-    if (lane < 0) ::_exit(2);
-    const auto rec = rec_at(1, static_cast<std::uint64_t>(lane));
-    child_q->append_batch_lane(lane, "victim", {&rec, 1}, {});
-    ::_exit(0);
+  // a retired version — exactly what a stale pre-upgrade ring file looks
+  // like (v2 carried fast lanes this build cannot see).
+  for (const std::uint32_t old_version : {1u, 2u}) {
+    const fs::path path = file("v" + std::to_string(old_version));
+    ShmIngestQueue::create(path, 8).reset();
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, 8, SEEK_SET), 0);
+    std::fwrite(&old_version, sizeof(old_version), 1, f);
+    std::fclose(f);
+    EXPECT_THROW(ShmIngestQueue::attach(path), std::runtime_error);
   }
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-
-  // The record the dead producer published still drains fine.
-  ShmIngestQueue::Cursor cur;
-  const auto out = drain_all(*q, cur);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].app, "victim");
-  const auto dead_lane = static_cast<std::uint32_t>(out[0].rec.tag);
-  EXPECT_NE(q->lane_owner(dead_lane), 0u);  // still marked owned by the dead pid
-
-  // Claiming every lane must succeed: kIngestLanes - 1 free ones plus the
-  // dead producer's lane, reclaimed because kill(pid, 0) says ESRCH.
-  std::vector<int> claimed;
-  for (std::uint32_t i = 0; i < kIngestLanes; ++i) {
-    const int lane = q->claim_lane();
-    ASSERT_GE(lane, 0) << "claim " << i << " failed; reclaim did not fire";
-    claimed.push_back(lane);
-  }
-  EXPECT_NE(std::find(claimed.begin(), claimed.end(),
-                      static_cast<int>(dead_lane)),
-            claimed.end());
-  // All lanes now held by THIS live process: a further claim reports none.
-  EXPECT_EQ(q->claim_lane(), -1);
-
-  // The reclaimed lane continues its frame sequence; drains stay exact.
-  const auto heir_rec = rec_at(2, 9);
-  q->append_batch_lane(static_cast<int>(dead_lane), "heir", {&heir_rec, 1},
-                       {});
-  const auto heir = drain_all(*q, cur);
-  ASSERT_EQ(heir.size(), 1u);
-  EXPECT_EQ(heir[0].app, "heir");
-  EXPECT_EQ(q->lane_produced(dead_lane), 2u);
 }
 
 TEST_F(ShmIngestTest, DoorbellWakesParkedConsumer) {
@@ -500,7 +487,7 @@ TEST_F(ShmIngestTest, DoorbellWakesParkedConsumer) {
             ShmIngestQueue::WaitResult::kTimeout);
 
   // Pending frames: never parks at all.
-  q->append("a", rec_at(1), {});
+  append_one(*q, "a", rec_at(1), {});
   EXPECT_EQ(q->wait_for_frames(cur, 2 * kNsPerMs),
             ShmIngestQueue::WaitResult::kReady);
   drain_all(*q, cur);
@@ -509,7 +496,7 @@ TEST_F(ShmIngestTest, DoorbellWakesParkedConsumer) {
   // generous timeout only bounds a lost wake, not the expected path.
   std::thread producer([&q] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q->append("a", rec_at(2), {});
+    append_one(*q, "a", rec_at(2), {});
   });
   const auto r = q->wait_for_frames(cur, 5000 * kNsPerMs);
   producer.join();
@@ -533,7 +520,7 @@ TEST_F(ShmIngestTest, PumpWaitBlocksOnDoorbell) {
   // A producer ringing the doorbell mid-wait: wait() reports work.
   std::thread producer([&q] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q->append("a", rec_at(1), {});
+    append_one(*q, "a", rec_at(1), {});
   });
   bool woke = false;
   for (int i = 0; i < 2000 && !woke; ++i) woke = pump.wait(5000 * kNsPerMs);

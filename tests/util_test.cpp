@@ -7,10 +7,12 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "util/clock.hpp"
 #include "util/csv.hpp"
+#include "util/flat_u64_map.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -172,6 +174,59 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::size_t>(1, 2, 3, 7, 64, 1024),
                        ::testing::Values<std::size_t>(0, 1, 5, 63, 64, 65,
                                                       4096)));
+
+// ------------------------------------------------------------ flat u64 map
+
+TEST(FlatU64Map, InsertFindErase) {
+  FlatU64Map<int> m;
+  EXPECT_EQ(m.find(7), nullptr);
+  m.erase(7);  // absent: no-op
+  m[7] = 70;
+  m[0] = 1;  // key 0 is an ordinary key
+  ++m[7];
+  ASSERT_NE(m.find(7), nullptr);
+  EXPECT_EQ(*m.find(7), 71);
+  EXPECT_EQ(*m.find(0), 1);
+  EXPECT_EQ(m.size(), 2u);
+  m.erase(7);
+  EXPECT_EQ(m.find(7), nullptr);
+  EXPECT_EQ(m.size(), 1u);
+}
+
+// Property: any mix of inserts and erases — a sliding counter window like
+// the hub's tags, plus random keys from a small range so probe runs
+// collide and wrap — leaves the same contents as std::unordered_map.
+TEST(FlatU64Map, MatchesUnorderedMapUnderChurn) {
+  FlatU64Map<std::uint64_t> m;
+  std::unordered_map<std::uint64_t, std::uint64_t> ref;
+  Rng rng(42);
+  for (std::uint64_t i = 0; i < 20000; ++i) {
+    const std::uint64_t key = i % 3 == 0 ? i : rng.next_below(97) << 40;
+    if (rng.next_below(3) == 0) {
+      m.erase(key);
+      ref.erase(key);
+    } else {
+      ++m[key];
+      ++ref[key];
+    }
+    if (i >= 300) {
+      m.erase(i - 300);
+      ref.erase(i - 300);
+    }
+    ASSERT_EQ(m.size(), ref.size());
+  }
+  std::size_t seen = 0;
+  m.for_each([&](std::uint64_t key, std::uint64_t value) {
+    ++seen;
+    ASSERT_EQ(ref.count(key), 1u);
+    EXPECT_EQ(ref.at(key), value);
+  });
+  EXPECT_EQ(seen, ref.size());
+  for (const auto& [key, value] : ref) {
+    ASSERT_NE(m.find(key), nullptr);
+    EXPECT_EQ(*m.find(key), value);
+  }
+}
 
 // ------------------------------------------------------------- statistics
 
