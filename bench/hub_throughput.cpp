@@ -69,7 +69,6 @@ RunResult run_once(int producers, int shards, std::uint64_t total_beats,
                    const std::vector<std::vector<std::string>>& names) {
   hb::hub::HubOptions opts;
   opts.shard_count = static_cast<std::size_t>(shards);
-  opts.batch_capacity = 64;
   opts.window_capacity = 256;
   hb::hub::HeartbeatHub hub(opts);
 
@@ -192,6 +191,8 @@ int main(int argc, char** argv) {
     rec.config("total_beats_per_config", total_beats);
     rec.config("apps", kResidues * kAppsPerResidue);
     rec.config("reps", kReps);
+    rec.config("nproc",
+               static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
     for (const int p : producer_counts) {
       for (const int s : shard_counts) {
         const std::string key = "best_bps_p" + std::to_string(p) + "_s" +

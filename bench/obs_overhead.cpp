@@ -7,8 +7,10 @@
 // instrument site to one relaxed load. This bench holds the plane to that
 // charter on the hottest path it touches — multi-producer hub ingest at
 // fleet scale (4k apps, 4 producer threads) — by running the SAME workload
-// with obs::set_enabled(true) and (false), interleaved best-of so host
-// drift hits both sides alike.
+// with obs::set_enabled(true) and (false) in back-to-back pairs. The
+// headline is the median over pairs of each pair's relative difference:
+// host drift slower than one pair cancels inside the pair, and one noisy
+// pair cannot move the median the way it moves a best-of.
 //
 // What the two sides measure:
 //   * enabled:  the real cost of live telemetry on ingest (counters fire
@@ -23,12 +25,13 @@
 // and on re-enable the counters must resume from where they stopped —
 // disabled means "not counted", never "counted late" or "corrupted".
 //
-//   ./bench_obs_overhead [apps] [beats_per_producer]   (default 4000 x 150000)
+//   ./bench_obs_overhead [apps] [beats_per_producer]   (default 4000 x 500000)
 //   ./bench_obs_overhead --smoke        (small run; overhead informational)
 //   ./bench_obs_overhead --json PATH    (write a BENCH json record)
 //
 // CSV on stdout; `# obs_overhead_pct=` is the headline (acceptance shape:
-// < 5% on ingest at 4k apps). Exit: 0 ok, 2 on a correctness failure, 3 on
+// < 5% on ingest at 4k apps), `# pair_diff_pct=` the spread of the paired
+// differences and `# rep_spread_pct=` the spread of single passes. Exit: 0 ok, 2 on a correctness failure, 3 on
 // a blown overhead gate (full mode only — smoke runs on shared CI cores
 // report the number without gating on it).
 #include <algorithm>
@@ -79,13 +82,30 @@ double ingest_pass(hb::hub::HeartbeatHub& hub,
   });
 }
 
+// Linear-interpolated quantile of `v` (copied; q in [0, 1]).
+double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
+double median(const std::vector<double>& v) { return quantile(v, 0.5); }
+
+// (max - min) / min, in percent.
+double spread_pct(const std::vector<double>& v) {
+  const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
+  return *lo > 0.0 ? (*hi - *lo) / *lo * 100.0 : 0.0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
   const char* json_path = nullptr;
   int apps = 4000;
-  std::uint64_t per_thread = 150000;
+  std::uint64_t per_thread = 500000;
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -97,7 +117,7 @@ int main(int argc, char** argv) {
     }
   }
   if (smoke) {
-    per_thread = 30000;
+    per_thread = 150000;
   } else {
     if (positional.size() > 0) apps = std::atoi(positional[0]);
     if (positional.size() > 1) {
@@ -113,7 +133,6 @@ int main(int argc, char** argv) {
 
   hb::hub::HubOptions opts;
   opts.shard_count = 16;
-  opts.batch_capacity = 64;
   opts.window_capacity = 64;
   hb::hub::HeartbeatHub hub(opts);
 
@@ -122,15 +141,19 @@ int main(int argc, char** argv) {
   for (int i = 0; i < apps; ++i) {
     ids.push_back(hub.register_app("app-" + std::to_string(i), {4.0, 1e6}));
   }
-  ingest_pass(hub, ids, 2000);  // warm-up: windows filled, allocations done
+  // Warm-up: every app's window filled, allocations done, so the first
+  // measured pass slides windows like every later one.
+  const std::uint64_t warmup =
+      ids.size() * opts.window_capacity / kProducers;
+  ingest_pass(hub, ids, warmup);
 
-  // Interleaved best-of: enabled / disabled alternate within each rep, and
-  // the rep order flips each time (on-off, off-on, ...) so neither a slow
+  // Paired reps: enabled and disabled run back to back within each rep,
+  // and the order flips each time (on-off, off-on, ...) so neither a slow
   // host ramp (frequency scaling warming up across the whole run) nor a
-  // neighbor waking mid-rep can masquerade as telemetry overhead — each
-  // side samples both the early-slow and late-fast ends of every rep.
-  const int reps = smoke ? 4 : 6;
-  double enabled_s = 1e18, disabled_s = 1e18;
+  // neighbor waking mid-rep can masquerade as telemetry overhead. Each
+  // rep yields one paired difference; the headline is their median.
+  const int reps = smoke ? 10 : 12;
+  std::vector<double> on_s, off_s, diff_pct;
   std::printf("mode,rep,apps,beats,seconds,beats_per_sec\n");
   for (int rep = 0; rep < reps; ++rep) {
     const bool on_first = (rep % 2) == 0;
@@ -141,8 +164,9 @@ int main(int argc, char** argv) {
     hb::obs::set_enabled(true);
     const double on = on_first ? first : second;
     const double off = on_first ? second : first;
-    enabled_s = std::min(enabled_s, on);
-    disabled_s = std::min(disabled_s, off);
+    on_s.push_back(on);
+    off_s.push_back(off);
+    diff_pct.push_back(off > 0.0 ? (on - off) / off * 100.0 : 0.0);
     const double total = static_cast<double>(per_thread) * kProducers;
     std::printf("obs_on,%d,%d,%.0f,%.4f,%.0f\n", rep, apps, total, on,
                 on > 0 ? total / on : 0.0);
@@ -150,8 +174,14 @@ int main(int argc, char** argv) {
                 off > 0 ? total / off : 0.0);
     std::fflush(stdout);
   }
-  const double overhead_pct =
-      disabled_s > 0.0 ? (enabled_s - disabled_s) / disabled_s * 100.0 : 0.0;
+  const double overhead_pct = median(diff_pct);
+  const double enabled_s = median(on_s);
+  const double disabled_s = median(off_s);
+  // Spread between reps: the paired differences' interquartile range, and
+  // each side's (max - min) / min over single passes.
+  const double diff_iqr = quantile(diff_pct, 0.75) - quantile(diff_pct, 0.25);
+  const double on_spread = spread_pct(on_s);
+  const double off_spread = spread_pct(off_s);
 
   // ---- correctness coda: disabled means frozen, not deferred ------------
   auto& reg = hb::obs::MetricsRegistry::global();
@@ -175,15 +205,22 @@ int main(int argc, char** argv) {
   // no beat may be lost in either mode.
   const std::uint64_t expected =
       static_cast<std::uint64_t>(kProducers) *
-      (2000 +  // warm-up
+      (warmup +
        static_cast<std::uint64_t>(reps) * 2 * per_thread +
        (hb::obs::kCompiledIn ? 2 * 2000 : 0));
   if (hub.snapshot()->cluster().total_beats != expected) ok = false;
 
   std::printf("\n# hb_obs_compiled_in=%s\n",
               hb::obs::kCompiledIn ? "yes" : "no");
-  std::printf("# obs_overhead_pct=%.2f (enabled %.4fs vs disabled %.4fs)\n",
-              overhead_pct, enabled_s, disabled_s);
+  std::printf(
+      "# obs_overhead_pct=%.2f (median of %d paired differences; median "
+      "pass enabled %.4fs vs disabled %.4fs)\n",
+      overhead_pct, reps, enabled_s, disabled_s);
+  std::printf("# pair_diff_pct min=%.2f iqr=%.2f max=%.2f\n",
+              *std::min_element(diff_pct.begin(), diff_pct.end()), diff_iqr,
+              *std::max_element(diff_pct.begin(), diff_pct.end()));
+  std::printf("# rep_spread_pct enabled=%.2f disabled=%.2f\n", on_spread,
+              off_spread);
   std::printf("# disabled_counter_delta=%llu (must be 0)\n",
               static_cast<unsigned long long>(frozen_delta));
   std::printf("# correctness=%s\n", ok ? "ok" : "FAILED");
@@ -196,9 +233,12 @@ int main(int argc, char** argv) {
     rec.config("reps", reps);
     rec.config("smoke", smoke);
     rec.config("hb_obs_compiled_in", hb::obs::kCompiledIn);
-    rec.metric("enabled_best_s", enabled_s);
-    rec.metric("disabled_best_s", disabled_s);
+    rec.metric("enabled_median_s", enabled_s);
+    rec.metric("disabled_median_s", disabled_s);
     rec.metric("obs_overhead_pct", overhead_pct);
+    rec.metric("pair_diff_iqr_pct", diff_iqr);
+    rec.metric("enabled_rep_spread_pct", on_spread);
+    rec.metric("disabled_rep_spread_pct", off_spread);
     rec.metric("disabled_counter_delta", frozen_delta);
     rec.metric("correctness", ok);
     rec.write(json_path);

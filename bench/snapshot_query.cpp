@@ -92,7 +92,6 @@ int main(int argc, char** argv) {
   auto clock = std::make_shared<hb::util::ManualClock>();
   hb::hub::HubOptions opts;
   opts.shard_count = 16;
-  opts.batch_capacity = 64;
   opts.window_capacity = 64;
   opts.clock = clock;
   hb::hub::HeartbeatHub hub(opts);
@@ -130,8 +129,7 @@ int main(int argc, char** argv) {
 
   // --- rebuild: advance the clock before every query, forcing full
   // per-shard maintenance + republish each time (the pre-snapshot
-  // per-query cost, and the upper bound a real-clock poller pays with
-  // snapshot_min_interval_ns = 0).
+  // per-query cost, and what a real-clock poller pays on every query).
   hb::hub::ClusterSummary rebuilt_cluster;
   hb::fault::FleetReport rebuilt_report;
   const double rebuild_cluster_s = timed([&] {
@@ -232,6 +230,8 @@ int main(int argc, char** argv) {
     rec.config("apps", apps);
     rec.config("queries", queries);
     rec.config("smoke", smoke);
+    rec.config("nproc",
+               static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
     rec.metric("cluster_cached_qps",
                cached_cluster_s > 0 ? queries / cached_cluster_s : 0.0);
     rec.metric("cluster_rebuild_qps",

@@ -46,23 +46,21 @@ Health FleetDetector::classify(const hub::AppSummary& s) const {
 
   if (s.total_beats < opts_.min_beats) return Health::kWarmingUp;
 
-  // Staleness vs cadence. Fall back to the last non-empty window's mean
-  // when time-based aging has drained the current one — a producer that
-  // went silent long enough for its whole window to expire must not lose
-  // its death verdict along with its intervals. (Flip side, by design: a
-  // producer that slows to a cadence far beyond its historical one reads
-  // dead until its next beat revives it — silence past staleness_factor
-  // times the last known cadence IS the §2.6 failure signal.)
-  const double mean_ns = s.interval_mean_ns > 0.0 ? s.interval_mean_ns
-                                                  : s.last_interval_mean_ns;
+  // Staleness vs cadence. A silent producer keeps its window (records
+  // leave it only when overwritten or evicted), so the yardstick survives
+  // the silence. (By design, a producer that slows to a cadence far beyond
+  // its windowed one reads dead until its next beat revives it — silence
+  // past staleness_factor times the known cadence IS the §2.6 failure
+  // signal.)
+  const double mean_ns = s.interval_mean_ns;
   if (mean_ns > 0.0 &&
       static_cast<double>(staleness) > opts_.staleness_factor * mean_ns) {
     return Health::kDead;
   }
 
   // Warmed up by lifetime beats, but the window holds too little evidence
-  // for a rate or jitter verdict (e.g. everything aged past window_ns and
-  // the app only just resumed): not provably dead, not provably anything.
+  // for a rate or jitter verdict (e.g. an evicted app revived by one new
+  // beat): not provably dead, not provably anything.
   if (s.window_beats < 2) return Health::kWarmingUp;
 
   // A zero-span window reads as an infinite rate — unmeasurably fast is
@@ -185,7 +183,7 @@ FleetReport FleetDetector::sweep(
               }
               return a->name < b->name;
             });
-  const std::size_t take = std::min(offenders.size(), opts_.max_worst);
+  const std::size_t take = std::min(offenders.size(), kFleetMaxWorst);
   fleet.worst.reserve(take);
   for (std::size_t i = 0; i < take; ++i) fleet.worst.push_back(*offenders[i]);
 

@@ -50,9 +50,10 @@ struct FleetDetectorOptions {
   /// ShmHubSinkOptions::max_hold_ns so transport lag is never read as
   /// death. 0 (the default) is correct for in-process ingestion.
   util::TimeNs staleness_slack_ns = 0;
-  /// Cap on FleetHealth::worst (the most-stale non-healthy apps).
-  std::size_t max_worst = 5;
 };
+
+/// Cap on FleetHealth::worst (the most severe, most stale unhealthy apps).
+inline constexpr std::size_t kFleetMaxWorst = 5;
 
 /// The same thresholds expressed for the per-reader FailureDetector, so
 /// consumers that watch some apps through readers and some through the hub
@@ -97,7 +98,8 @@ struct FleetHealth {
 
   std::vector<std::string> dead_apps;  ///< names, sweep order
   /// Unhealthy apps (slow/erratic/dead — warming up is not an offense),
-  /// most severe verdict first, then most stale (<= max_worst entries).
+  /// most severe verdict first, then most stale (<= kFleetMaxWorst
+  /// entries).
   std::vector<AppHealth> worst;
 
   bool all_healthy() const { return healthy == apps; }

@@ -9,9 +9,10 @@
 // Architecture:
 //
 //   producers ──beat/ingest──▶ shard[hash(app) % N]   (lock-striped)
-//                                │  raw-record batch (batch_capacity)
+//                                │  raw-record batch (kShardBatchCapacity)
 //                                ▼  flush: amortized window + histogram
 //                              per-app sliding-window summaries
+//                              (the last window_capacity beats)
 //                                ▼
 //   snapshot() ◀── FleetSnapshot: per-app / per-tag / cluster rollups
 //                  (immutable, coherent)
@@ -56,31 +57,13 @@ struct HubOptions {
   /// Lock stripes; clamped to >= 1. Sizing rule of thumb: ~1-2x the
   /// expected number of concurrently beating producers.
   std::size_t shard_count = 8;
-  /// Raw beats buffered per shard before a flush (the ingest batch).
-  std::size_t batch_capacity = 64;
-  /// Sliding-window size per app, in beats.
+  /// Sliding-window size per app, in beats: rate and interval statistics
+  /// cover the last window_capacity beats (the paper's HB_initialize
+  /// window). Clamped to >= 2.
   std::size_t window_capacity = 256;
-  /// Beats per rate computation; 0 = the whole sliding window.
-  std::uint32_t rate_window = 0;
-  /// Time-based sliding window: beats whose timestamps age beyond this
-  /// bound (on the hub clock) leave rate/percentile state, evaluated lazily
-  /// at every flush. 0 = beat-count window only.
-  util::TimeNs window_ns = 0;
   /// Auto-evict apps whose staleness exceeds this bound (dead producers
   /// stop costing rollup time; a new beat revives them). 0 = never.
   util::TimeNs evict_after_ns = 0;
-  /// Snapshot freshness tolerance: a query that finds no new beats and no
-  /// dirty state reuses the published snapshot while it is younger than
-  /// this, instead of re-stamping staleness and rebuilding. 0 (default)
-  /// republishes whenever the clock advanced — the exact pre-snapshot
-  /// per-query semantics. Monitoring loops polling much faster than their
-  /// decision cadence should set this to a fraction of that cadence. The
-  /// observable effect: ALL time-driven maintenance — staleness_ns,
-  /// window_ns aging, evict_after_ns auto-eviction — may lag queries by
-  /// up to the tolerance (see ShardSnapshot::published_at_ns). New beats,
-  /// target changes, and evictions always cut through, and an explicit
-  /// HeartbeatHub::flush() always catches maintenance up regardless.
-  util::TimeNs snapshot_min_interval_ns = 0;
   /// Self-telemetry: register the hub itself as app kSelfAppName and beat
   /// it through the ordinary ingest path once per fleet-snapshot rebuild
   /// and once per explicit flush(). The hub then shows up in its own
@@ -90,8 +73,8 @@ struct HubOptions {
   /// every snapshot a rebuild (the self beat dirties its shard), which
   /// single-purpose embedders and the snapshot-cache benches do not want.
   bool self_beat = false;
-  /// Timestamp source for beat(), staleness stamping, and time-based
-  /// aging; null selects the process monotonic clock.
+  /// Timestamp source for beat(), staleness stamping, and auto-eviction;
+  /// null selects the process monotonic clock.
   std::shared_ptr<util::Clock> clock;
 };
 
@@ -145,9 +128,9 @@ class HeartbeatHub {
   /// staleness exceeds HubOptions::evict_after_ns.
   void evict(AppId id);
 
-  /// Force every shard to drain its batch, age time windows, re-stamp
-  /// staleness, apply auto-eviction, and republish its snapshot.
-  /// snapshot() does the same implicitly (within the freshness tolerance).
+  /// Publish every shard: drain its batch, re-stamp staleness, apply
+  /// auto-eviction, and republish its snapshot if anything changed.
+  /// snapshot() does the same implicitly; flush() adds the self beat.
   void flush();
 
   /// The read side: a coherent, epoch-stamped view of the whole fleet.
@@ -191,7 +174,7 @@ class HeartbeatHub {
   /// The normalized construction options (clock always non-null).
   const HubOptions& options() const { return opts_; }
   /// The hub's timestamp source — the epoch every staleness_ns and
-  /// window_ns comparison lives on.
+  /// evict_after_ns comparison lives on.
   const std::shared_ptr<util::Clock>& clock() const { return opts_.clock; }
 
   /// One lock stripe, for its live ingest counters (HubShard::stats(),

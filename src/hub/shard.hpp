@@ -19,10 +19,14 @@
 //   across summary copies.
 //
 // A publish that finds nothing new (no pending beats, no dirty targets or
-// evictions, clock within the freshness tolerance) republishes nothing:
-// the epoch stands still and fleet-level caches keep serving pointer
-// reads. This is what makes repeated cluster queries between flushes
-// nearly free (bench/snapshot_query).
+// evictions, a clock that has not moved) republishes nothing: the epoch
+// stands still and fleet-level caches keep serving pointer reads. This is
+// what makes repeated cluster queries between flushes nearly free
+// (bench/snapshot_query).
+//
+// A record leaves an app's window only when a newer one overwrites it or
+// the app is evicted; the window is a count of beats, as in the paper's
+// HB_initialize(window).
 #pragma once
 
 #include <atomic>
@@ -46,29 +50,22 @@
 
 namespace hb::hub {
 
+/// Raw beats a shard buffers before handing the batch to the apply stage.
+/// Producers on one shard then contend on the state lock once per batch,
+/// not once per beat.
+inline constexpr std::size_t kShardBatchCapacity = 64;
+
 /// Sizing knobs a shard needs (subset of HubOptions, kept separately so the
 /// shard does not depend on the hub header).
 struct ShardConfig {
-  std::size_t batch_capacity = 64;    ///< raw records buffered before a flush
   std::size_t window_capacity = 256;  ///< sliding-window beats per app
-  std::uint32_t rate_window = 0;      ///< beats for rate; 0 = whole window
-  /// Time-based window: beats older than this age out of rate/percentile
-  /// state, evaluated lazily at every publish. 0 = beat-count window only.
-  util::TimeNs window_ns = 0;
   /// Auto-evict an app whose staleness exceeds this bound (checked at
   /// publish). 0 = never auto-evict.
   util::TimeNs evict_after_ns = 0;
-  /// Snapshot freshness tolerance: a query-forced publish that finds no new
-  /// beats and no dirty state skips the rebuild while the published
-  /// snapshot is younger than this. 0 = republish whenever the clock
-  /// advanced at all (exactly the pre-snapshot per-query staleness
-  /// semantics; under a ManualClock that never moves between queries, the
-  /// cache still hits). See HubOptions::snapshot_min_interval_ns.
-  util::TimeNs snapshot_min_interval_ns = 0;
-  /// Clock for aging / staleness stamping. HeartbeatHub always installs
-  /// one (normalize() defaults to the monotonic clock); null is only
-  /// reachable when a shard is constructed standalone, and then disables
-  /// time-based maintenance entirely.
+  /// Clock for staleness stamping. HeartbeatHub always installs one
+  /// (normalize() defaults to the monotonic clock); null is only reachable
+  /// when a shard is constructed standalone, and then disables time-based
+  /// maintenance entirely.
   std::shared_ptr<util::Clock> clock;
 };
 
@@ -106,23 +103,14 @@ class HubShard {
   void evict(std::uint32_t slot) HB_EXCLUDES(state_mu_);
 
   /// Apply all pending beats, run time maintenance, and (re)publish the
-  /// shard snapshot if anything changed. Returns the current snapshot —
-  /// the one true read entry point. Never null. `force_fresh` ignores the
-  /// snapshot_min_interval_ns tolerance: any clock movement republishes
-  /// (an explicit flush must re-stamp staleness, age windows, and apply
-  /// auto-eviction NOW, not within-the-tolerance-eventually).
-  std::shared_ptr<const ShardSnapshot> publish(bool force_fresh = false)
+  /// shard snapshot if anything changed or the clock moved. Returns the
+  /// current snapshot — the one true read entry point. Never null.
+  std::shared_ptr<const ShardSnapshot> publish()
       HB_EXCLUDES(state_mu_, ingest_mu_, snap_mu_);
 
   /// The last published snapshot without forcing a publish (may be null
   /// before the first publish). Lock held only for the pointer grab.
   std::shared_ptr<const ShardSnapshot> published() const HB_EXCLUDES(snap_mu_);
-
-  /// Forced-fresh publish for callers that ignore the result
-  /// (HeartbeatHub::flush): time maintenance always catches up.
-  void flush() HB_EXCLUDES(state_mu_, ingest_mu_, snap_mu_) {
-    publish(/*force_fresh=*/true);
-  }
 
   ShardStats stats() const HB_EXCLUDES(state_mu_, ingest_mu_);
 
@@ -141,9 +129,6 @@ class HubShard {
     util::RingBuffer<core::HeartbeatRecord> window;
     util::RingBuffer<std::uint64_t> intervals;  ///< windowed, drives `hist`
     util::LatencyHistogram hist;                ///< exactly the ring's values
-    double last_mean_ns = 0.0;  ///< window mean as of the last applied
-                                ///< interval; survives aging, cleared by
-                                ///< eviction ("last known cadence")
     std::unordered_map<std::uint64_t, std::uint64_t> tag_counts;  ///< windowed
     AppSummary cached;
     bool dirty = false;
@@ -172,11 +157,9 @@ class HubShard {
       HB_REQUIRES(state_mu_);
   void refresh_locked(AppState& app) HB_REQUIRES(state_mu_);
   void check_slot(std::uint32_t slot) const;  ///< throws out_of_range
-  /// Per-app time maintenance: age past window_ns, stamp staleness,
-  /// auto-evict past evict_after_ns.
+  /// Per-app time maintenance: stamp staleness, auto-evict past
+  /// evict_after_ns.
   void maintain_locked(AppState& app, util::TimeNs now) HB_REQUIRES(state_mu_);
-  void age_window_locked(AppState& app, util::TimeNs cutoff_ns)
-      HB_REQUIRES(state_mu_);
   /// Tag count bookkeeping: every change to an app's tag_counts goes
   /// through these, so tag_rollup_ stays the sum of them all.
   void count_tag_locked(AppState& app, std::uint64_t tag)
@@ -184,8 +167,6 @@ class HubShard {
   void uncount_tag_locked(std::uint64_t tag, std::uint64_t beats, bool app_gone)
       HB_REQUIRES(state_mu_);
   void retire_oldest_tag_locked(AppState& app) HB_REQUIRES(state_mu_);
-  /// One record + its interval.
-  void drop_oldest_locked(AppState& app) HB_REQUIRES(state_mu_);
   void evict_locked(AppState& app) HB_REQUIRES(state_mu_);
   /// Build the next ShardSnapshot from current app state (one walk:
   /// maintenance + refresh + copy + rollups) and swap it in. Caller holds
@@ -199,7 +180,12 @@ class HubShard {
   /// PUBLISH stage. Guards apps_, flushes_, epoch_, state_dirty_.
   /// Lock order: state_mu_ before ingest_mu_ and before snap_mu_ (never
   /// the reverse) — declared below so -Wthread-safety-beta enforces it.
-  mutable util::Mutex state_mu_;
+  /// Each stage starts its own cache line: producers hammer ingest_mu_
+  /// and batch_ while the apply stage holds state_mu_, and without the
+  /// alignment whether the two stages shared a line depended on where the
+  /// allocator put the shard (bench_hub_throughput at 16 producers moved
+  /// by 10-15% with the shard's size).
+  alignas(64) mutable util::Mutex state_mu_;
   std::vector<AppState> apps_ HB_GUARDED_BY(state_mu_);
   std::uint64_t flushes_ HB_GUARDED_BY(state_mu_) = 0;
   std::uint64_t epoch_ HB_GUARDED_BY(state_mu_) = 0;
@@ -214,7 +200,7 @@ class HubShard {
 
   /// INGEST stage. Guards batch_, overflow_, ingested_. Producers touch
   /// nothing else on the hot path.
-  mutable util::Mutex ingest_mu_ HB_ACQUIRED_AFTER(state_mu_);
+  alignas(64) mutable util::Mutex ingest_mu_ HB_ACQUIRED_AFTER(state_mu_);
   Batch batch_ HB_GUARDED_BY(ingest_mu_);
   /// Full batches awaiting apply, FIFO.
   std::deque<Batch> overflow_ HB_GUARDED_BY(ingest_mu_);

@@ -58,12 +58,6 @@ struct AppSummary {
   std::uint64_t interval_max_ns = 0;   ///< exact, over the window
   double interval_mean_ns = 0.0;
   double interval_stddev_ns = 0.0;     ///< exact, over the window (jitter)
-  /// Window mean as of the most recently ingested interval. Unlike
-  /// interval_mean_ns this survives time-window aging (cleared only by
-  /// eviction), so staleness-vs-cadence verdicts still work for a producer
-  /// whose window drained — a quiet app keeps its "how fast did it last
-  /// beat" yardstick until the hub forgets it entirely.
-  double last_interval_mean_ns = 0.0;
   std::uint64_t interval_p50_ns = 0;   ///< histogram bucket (<= 12.5% error)
   std::uint64_t interval_p95_ns = 0;
   std::uint64_t interval_p99_ns = 0;

@@ -48,7 +48,6 @@ TEST(ConcurrencyStress, ShardIngestPublishSnapshotReaders) {
   const std::size_t beats_per_producer = scaled(4000);
 
   hub::ShardConfig config;
-  config.batch_capacity = 16;  // small: force frequent overflow hand-offs
   config.window_capacity = 64;
   config.clock = util::MonotonicClock::instance();
   hub::HubShard shard(0, config);
@@ -80,7 +79,7 @@ TEST(ConcurrencyStress, ShardIngestPublishSnapshotReaders) {
     while (!stop.load(std::memory_order_acquire)) {
       shard.publish();
     }
-    shard.publish(/*force_fresh=*/true);
+    shard.publish();
   });
   for (int r = 0; r < 2; ++r) {
     threads.emplace_back([&] {  // snapshot readers
@@ -113,7 +112,7 @@ TEST(ConcurrencyStress, ShardIngestPublishSnapshotReaders) {
   for (std::size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
 
   // Conservation: every enqueued beat is applied exactly once.
-  auto snap = shard.publish(/*force_fresh=*/true);
+  auto snap = shard.publish();
   std::uint64_t total = 0;
   for (const auto& app : snap->apps) total += app.total_beats;
   EXPECT_EQ(total, kProducers * beats_per_producer);

@@ -128,31 +128,24 @@ TEST(FleetClassify, EvictedIsDead) {
   EXPECT_EQ(det.classify(s), Health::kDead);
 }
 
-TEST(FleetClassify, AgedOutWindowStillYieldsADeathVerdict) {
-  // Regression: once time-based aging drains the window, interval_mean_ns
-  // is 0 and the relative bound had nothing to compare staleness against —
-  // a dead producer read as kWarmingUp forever (absent an absolute bound).
-  // The last non-empty window's mean survives aging exactly for this.
-  FleetDetector det;  // note: NO absolute bound configured
-  hub::AppSummary s = base_summary();
-  s.window_beats = 0;
-  s.rate_bps = 0.0;
-  s.interval_mean_ns = 0.0;
-  s.last_interval_mean_ns = 100.0 * kNsPerMs;  // used to beat at 10 b/s
-  s.staleness_ns = 5 * kNsPerSec;              // silent 50x its cadence
-  EXPECT_EQ(det.classify(s), Health::kDead);
-}
-
-TEST(FleetClassify, EmptyWindowAfterAgingIsWarmingUpNotSlow) {
-  FleetDetector det;
-  hub::AppSummary s = base_summary();
-  s.window_beats = 0;          // everything aged past window_ns
-  s.rate_bps = 0.0;
-  s.interval_mean_ns = 0.0;
-  s.last_interval_mean_ns = 100.0 * kNsPerMs;
-  s.target.min_bps = 20.0;
-  s.staleness_ns = 10 * kNsPerMs;  // just resumed: nowhere near 8x cadence
-  EXPECT_EQ(det.classify(s), Health::kWarmingUp);
+TEST(FleetClassify, RevivedWithOneBeatIsWarmingUpNotSlow) {
+  // Eviction empties the window; the first beat after it holds no interval
+  // and no rate. Lifetime beats are past min_beats, but one windowed beat
+  // is no evidence of slowness (or of anything else).
+  auto clock = std::make_shared<util::ManualClock>();
+  hub::HeartbeatHub hub(test::manual_hub_opts(clock));
+  const hub::AppId id = hub.register_app(
+      "phoenix", {20.0, std::numeric_limits<double>::infinity()});
+  test::beat_apps(hub, *clock, {id}, /*rounds=*/10, 100 * kNsPerMs);
+  hub.evict(id);
+  clock->advance(kNsPerSec);
+  hub.beat(id);
+  clock->advance(10 * kNsPerMs);
+  const hub::AppSummary s = app_summary(hub, "phoenix");
+  ASSERT_FALSE(s.evicted);
+  ASSERT_EQ(s.window_beats, 1u);
+  EXPECT_EQ(s.interval_mean_ns, 0.0);
+  EXPECT_EQ(FleetDetector().classify(s), Health::kWarmingUp);
 }
 
 // -------------------------------------------------------------- hub sweeps
@@ -224,13 +217,12 @@ TEST(FleetSweep, WorstOffendersAreCappedAndExcludeWarmUps) {
     hub.register_app("silent-" + std::to_string(i));
   }
   test::beat_apps(hub, *clock, slow, /*rounds=*/10, 100 * kNsPerMs);
-  FleetDetector det({.max_worst = 3});
-  const FleetReport report = det.sweep(hub.snapshot());
+  const FleetReport report = FleetDetector().sweep(hub.snapshot());
   EXPECT_EQ(report.fleet.slow, 10u);
   EXPECT_EQ(report.fleet.warming_up, 10u);
   // Capped, and a freshly registered app is not an "offender": every entry
   // is one of the genuinely unhealthy apps.
-  ASSERT_EQ(report.fleet.worst.size(), 3u);
+  ASSERT_EQ(report.fleet.worst.size(), kFleetMaxWorst);
   for (const AppHealth& app : report.fleet.worst) {
     EXPECT_EQ(app.health, Health::kSlow) << app.name;
   }
@@ -326,23 +318,6 @@ TEST(FleetSweep, EvictionRevivalChurnStaysConsistent) {
   EXPECT_EQ(hub.app_count(), 2u);  // revival never re-registers
 }
 
-TEST(FleetSweep, AgedOutDeadProducerIsReportedDeadWithoutAbsoluteBound) {
-  // End-to-end twin of FleetClassify.AgedOutWindowStillYieldsADeathVerdict:
-  // time-windowed hub, default detector options, producer goes silent long
-  // past its window. The sweep must still say dead.
-  auto clock = std::make_shared<util::ManualClock>();
-  hub::HubOptions opts;
-  opts.window_ns = kNsPerSec;
-  opts.clock = clock;
-  hub::HeartbeatHub hub(opts);
-  const hub::AppId id = hub.register_app("quiet");
-  test::beat_apps(hub, *clock, {id}, /*rounds=*/20, 100 * kNsPerMs);
-  clock->advance(10 * kNsPerSec);  // window fully drained
-  ASSERT_EQ(app_summary(hub, "quiet").window_beats, 0u);
-  const FleetReport report = FleetDetector().sweep(hub.snapshot());
-  EXPECT_EQ(report.fleet.dead, 1u);
-}
-
 TEST(FleetSweep, FreshFleetHasNoWorstOffenders) {
   auto clock = std::make_shared<util::ManualClock>();
   hub::HubOptions opts;
@@ -368,7 +343,7 @@ TEST(FleetSweepCloud, ThousandVmFleetWithInjectedFaults) {
   // innocent VMs and muddy the class assertions).
   cloud::CloudSim sim(25, /*capacity=*/200.0, clock);
   auto hub = std::make_shared<hub::HeartbeatHub>(
-      test::manual_hub_opts(clock, /*shards=*/16, /*batch=*/64));
+      test::manual_hub_opts(clock, /*shards=*/16));
   sim.attach_hub(hub);
 
   constexpr int kVms = 1000;
@@ -458,8 +433,7 @@ TEST(FleetScheduler, DeadAppsDonateTheirCores) {
   auto hub = std::make_shared<hub::HeartbeatHub>([&] {
     hub::HubOptions opts;
     opts.shard_count = 2;
-    opts.batch_capacity = 4;
-    opts.rate_window = 8;
+    opts.window_capacity = 8;
     opts.clock = clock;
     return opts;
   }());
@@ -516,7 +490,7 @@ TEST(FleetScheduler, DeadAppsAreNeverReceivers) {
   auto hub = std::make_shared<hub::HeartbeatHub>([&] {
     hub::HubOptions opts;
     opts.shard_count = 2;
-    opts.rate_window = 8;
+    opts.window_capacity = 8;
     opts.clock = clock;
     return opts;
   }());
@@ -560,7 +534,7 @@ TEST(FleetScheduler, NotYetRegisteredAppsAreWarmingUpNotDead) {
   auto hub = std::make_shared<hub::HeartbeatHub>([&] {
     hub::HubOptions opts;
     opts.shard_count = 2;
-    opts.rate_window = 8;
+    opts.window_capacity = 8;
     opts.clock = clock;
     return opts;
   }());
@@ -608,7 +582,7 @@ TEST(FleetScheduler, HubEvictedAppsReadAsDead) {
   auto hub = std::make_shared<hub::HeartbeatHub>([&] {
     hub::HubOptions opts;
     opts.shard_count = 2;
-    opts.rate_window = 8;
+    opts.window_capacity = 8;
     opts.evict_after_ns = 2 * kNsPerSec;
     opts.clock = clock;
     return opts;

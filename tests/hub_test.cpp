@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,11 +31,9 @@ using util::kNsPerSec;
 using test::app_summary;
 
 HubOptions manual_opts(std::shared_ptr<util::ManualClock> clock,
-                       std::size_t shards = 4, std::size_t batch = 8,
-                       std::size_t window = 64) {
+                       std::size_t shards = 4, std::size_t window = 64) {
   HubOptions opts;
   opts.shard_count = shards;
-  opts.batch_capacity = batch;
   opts.window_capacity = window;
   opts.clock = std::move(clock);
   return opts;
@@ -137,21 +136,22 @@ TEST(HubRouting, UnknownNamesThrow) {
 // --------------------------------------------------------- batched ingestion
 
 TEST(HubBatching, BeatsBufferUntilBatchCapacity) {
+  constexpr std::uint64_t kBatch = kShardBatchCapacity;
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, /*shards=*/1, /*batch=*/8));
+  HeartbeatHub hub(manual_opts(clock, /*shards=*/1));
   const AppId id = hub.register_app("a");
 
-  for (int i = 0; i < 7; ++i) {
+  for (std::uint64_t i = 0; i + 1 < kBatch; ++i) {
     clock->advance(kNsPerMs);
     hub.beat(id);
   }
   ShardStats s = hub.shard(0).stats();
-  EXPECT_EQ(s.pending, 7u);   // still buffered
+  EXPECT_EQ(s.pending, kBatch - 1);  // still buffered
   EXPECT_EQ(s.flushes, 0u);
-  EXPECT_EQ(s.ingested, 7u);
+  EXPECT_EQ(s.ingested, kBatch - 1);
 
   clock->advance(kNsPerMs);
-  hub.beat(id);               // 8th beat fills the batch
+  hub.beat(id);  // this beat fills the batch
   s = hub.shard(0).stats();
   EXPECT_EQ(s.pending, 0u);
   EXPECT_EQ(s.flushes, 1u);
@@ -159,38 +159,43 @@ TEST(HubBatching, BeatsBufferUntilBatchCapacity) {
 
 TEST(HubBatching, QueriesFlushPendingBeats) {
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 1, /*batch=*/1024));
+  HeartbeatHub hub(manual_opts(clock, 1));
   const AppId id = hub.register_app("a");
   for (int i = 0; i < 5; ++i) {
     clock->advance(kNsPerMs);
     hub.beat(id);
   }
   // Far below batch capacity, but the query must still see every beat.
+  static_assert(kShardBatchCapacity > 5);
   EXPECT_EQ(app_summary(hub, "a").total_beats, 5u);
   EXPECT_EQ(hub.shard(0).stats().pending, 0u);
 }
 
 TEST(HubBatching, SpanIngestTakesOneLockAcquire) {
+  // Two full batches and a partial one, in one ingest_batch call.
+  constexpr std::size_t kBeats = 2 * kShardBatchCapacity + 2;
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 1, 4));
+  HeartbeatHub hub(manual_opts(clock, 1, /*window=*/256));
   const AppId id = hub.register_app("a");
-  std::vector<core::HeartbeatRecord> recs(10);
-  for (int i = 0; i < 10; ++i) {
-    recs[i].timestamp_ns = (i + 1) * kNsPerMs;
+  std::vector<core::HeartbeatRecord> recs(kBeats);
+  for (std::size_t i = 0; i < kBeats; ++i) {
+    recs[i].timestamp_ns = static_cast<util::TimeNs>(i + 1) * kNsPerMs;
     recs[i].tag = 7;
   }
   hub.ingest_batch(id, recs);
+  EXPECT_EQ(hub.shard(0).stats().flushes, 2u);  // the full batches, at once
+  EXPECT_EQ(hub.shard(0).stats().pending, 2u);
   const AppSummary s = app_summary(hub, "a");
-  EXPECT_EQ(s.total_beats, 10u);
-  EXPECT_EQ(tag_rollup(hub, 7).beats, 10u);
-  EXPECT_GE(hub.shard(0).stats().flushes, 2u);  // 10 beats / batch of 4
+  EXPECT_EQ(s.total_beats, kBeats);
+  EXPECT_EQ(tag_rollup(hub, 7).beats, kBeats);
+  EXPECT_EQ(hub.shard(0).stats().flushes, 3u);  // the query took the rest
 }
 
 // ----------------------------------------------------------- rate semantics
 
 TEST(HubRates, WindowedRateMatchesCoreSemantics) {
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 2, 8, /*window=*/64));
+  HeartbeatHub hub(manual_opts(clock, 2, /*window=*/64));
   const AppId id = hub.register_app("a");
   // 21 beats 100ms apart: 20 intervals over 2s -> 10 beats/s.
   for (int i = 0; i < 21; ++i) {
@@ -203,41 +208,36 @@ TEST(HubRates, WindowedRateMatchesCoreSemantics) {
   EXPECT_EQ(s.last_beat_ns, clock->now());
 }
 
-TEST(HubRates, RateWindowOptionLimitsTheSpan) {
-  auto clock = std::make_shared<util::ManualClock>();
-  HubOptions opts = manual_opts(clock, 1, 4, 64);
-  opts.rate_window = 5;
-  HeartbeatHub hub(opts);
-  const AppId id = hub.register_app("a");
-  // Slow early beats, fast recent beats: a 5-beat window sees only the
-  // fast tail.
-  for (int i = 0; i < 10; ++i) {
-    clock->advance(kNsPerSec);
-    hub.beat(id);
-  }
-  for (int i = 0; i < 10; ++i) {
-    clock->advance(kNsPerSec / 100);
-    hub.beat(id);
-  }
-  EXPECT_DOUBLE_EQ(app_summary(hub, "a").rate_bps, 100.0);
-}
+// The hub's rate is taken over the whole window, the same (n-1)/span rule
+// as core::window_rate over the same newest records. A window of 2 is the
+// instantaneous rate of the newest interval.
+TEST(HubRates, WindowRateEqualsCoreWindowRateForEveryWindowSize) {
+  // Slow era, then a fast era, then jitter: each window size sees a
+  // different mix.
+  std::vector<util::TimeNs> gaps;
+  for (int i = 0; i < 40; ++i) gaps.push_back(kNsPerSec);
+  for (int i = 0; i < 30; ++i) gaps.push_back(kNsPerSec / 100);
+  for (int i = 0; i < 10; ++i) gaps.push_back((i % 2 ? 3 : 7) * kNsPerMs);
 
-TEST(HubRates, RateWindowOfOneIsInstantaneousLikeCore) {
-  // Regression: rate_window = 1 must mean "instantaneous" (2 records, 1
-  // interval) exactly as Channel::rate(1)/HeartbeatReader::current_rate(1)
-  // do — not a permanent 0.
-  auto clock = std::make_shared<util::ManualClock>();
-  HubOptions opts = manual_opts(clock, 1, 4, 64);
-  opts.rate_window = 1;
-  HeartbeatHub hub(opts);
-  const AppId id = hub.register_app("a");
-  for (int i = 0; i < 5; ++i) {
-    clock->advance(kNsPerSec);  // slow era
-    hub.beat(id);
+  for (const std::size_t window : {2u, 8u, 64u}) {
+    auto clock = std::make_shared<util::ManualClock>();
+    HeartbeatHub hub(manual_opts(clock, 1, window));
+    const AppId id = hub.register_app("a");
+    std::vector<core::HeartbeatRecord> records;
+    for (const util::TimeNs gap : gaps) {
+      clock->advance(gap);
+      hub.beat(id);
+      core::HeartbeatRecord rec;
+      rec.timestamp_ns = clock->now();
+      records.push_back(rec);
+    }
+    const std::span<const core::HeartbeatRecord> newest(
+        records.data() + records.size() - window, window);
+    const AppSummary s = app_summary(hub, "a");
+    EXPECT_EQ(s.window_beats, window);
+    EXPECT_DOUBLE_EQ(s.rate_bps, core::window_rate(newest))
+        << "window " << window;
   }
-  clock->advance(kNsPerSec / 10);  // one fast interval
-  hub.beat(id);
-  EXPECT_DOUBLE_EQ(app_summary(hub, "a").rate_bps, 10.0);
 }
 
 TEST(HubRates, FewerThanTwoBeatsIsZeroRate) {
@@ -255,7 +255,7 @@ TEST(HubRates, FewerThanTwoBeatsIsZeroRate) {
 
 TEST(HubPercentiles, IntervalDistributionOverTheWindow) {
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 1, 8, /*window=*/256));
+  HeartbeatHub hub(manual_opts(clock, 1, /*window=*/256));
   const AppId id = hub.register_app("a");
   // 94 fast intervals (1ms) + 6 slow stalls (50ms): p50 ~= 1ms bucket,
   // p95/p99 land in the 50ms bucket. Min/max are exact.
@@ -286,7 +286,7 @@ TEST(HubPercentiles, IntervalDistributionOverTheWindow) {
 TEST(HubPercentiles, SlidingWindowEvictsOldIntervals) {
   auto clock = std::make_shared<util::ManualClock>();
   // Window of 8: after 8 fast beats, the early slow intervals must be gone.
-  HeartbeatHub hub(manual_opts(clock, 1, 4, /*window=*/8));
+  HeartbeatHub hub(manual_opts(clock, 1, /*window=*/8));
   const AppId id = hub.register_app("a");
   for (int i = 0; i < 20; ++i) {
     clock->advance(kNsPerSec);  // slow era: 1s intervals
@@ -310,7 +310,7 @@ TEST(HubPercentiles, IntervalStatsCoverOnlyWindowSpannedIntervals) {
   // window. window_capacity=2: after beats at 0s,1s,2s,101s the window is
   // {2s,101s} — min/max must both be the single 99s interval, not 1s.
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 1, 1, /*window=*/2));
+  HeartbeatHub hub(manual_opts(clock, 1, /*window=*/2));
   const AppId id = hub.register_app("a");
   hub.beat(id);                 // t = 0
   clock->advance(kNsPerSec);
@@ -354,7 +354,7 @@ TEST(HubTags, WindowedTagRollupAcrossApps) {
 
 TEST(HubTags, TagCountsSlideWithTheWindow) {
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 1, 4, /*window=*/4));
+  HeartbeatHub hub(manual_opts(clock, 1, /*window=*/4));
   const AppId id = hub.register_app("a");
   for (int i = 0; i < 6; ++i) {
     clock->advance(kNsPerMs);
@@ -369,13 +369,11 @@ TEST(HubTags, TagCountsSlideWithTheWindow) {
 }
 
 // The shard keeps its tag rollup current beat by beat; every way a beat
-// leaves an app's window (sliding, time aging, eviction) must take its
-// tag out again, and a tag nobody holds must leave the list.
-TEST(HubTags, RollupFollowsSlidingAgingEvictionAndRevival) {
+// leaves an app's window (sliding, eviction) must take its tag out again,
+// and a tag nobody holds must leave the list.
+TEST(HubTags, RollupFollowsSlidingEvictionAndRevival) {
   auto clock = std::make_shared<util::ManualClock>();
-  HubOptions opts = manual_opts(clock, 1, 4, /*window=*/3);
-  opts.window_ns = 100 * kNsPerMs;
-  HeartbeatHub hub(opts);
+  HeartbeatHub hub(manual_opts(clock, 1, /*window=*/3));
   const AppId a = hub.register_app("a");
   const AppId b = hub.register_app("b");
   for (std::uint64_t tag : {1, 1, 2}) {
@@ -403,22 +401,17 @@ TEST(HubTags, RollupFollowsSlidingAgingEvictionAndRevival) {
   ASSERT_EQ(hub.snapshot()->tags().size(), 2u);  // tags 2 and 3, from a
   EXPECT_EQ(hub.snapshot()->tags().front().tag, 2u);
 
-  // Revival counts again; time aging empties a's window.
+  // Revival counts again.
   hub.beat(b, 2);
   EXPECT_EQ(tag_rollup(hub, 2).beats, 2u);
   EXPECT_EQ(tag_rollup(hub, 2).apps, 2u);
-  clock->advance(200 * kNsPerMs);
-  hub.beat(b, 4);
-  ASSERT_EQ(hub.snapshot()->tags().size(), 1u);
-  EXPECT_EQ(tag_rollup(hub, 4).beats, 1u);
-  EXPECT_EQ(tag_rollup(hub, 4).apps, 1u);
 }
 
 // --------------------------------------------------------- cluster rollups
 
 TEST(HubCluster, RollupAggregatesAcrossShards) {
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 4, 8, 64));
+  HeartbeatHub hub(manual_opts(clock, 4, 64));
   const AppId fast = hub.register_app("fast", core::TargetRate{5.0, 100.0});
   const AppId slow = hub.register_app("slow", core::TargetRate{5.0, 100.0});
   const AppId idle = hub.register_app("idle", core::TargetRate{1.0, 10.0});
@@ -475,90 +468,11 @@ TEST(HubCluster, InfiniteRateDoesNotMeetTarget) {
   EXPECT_EQ(c.warming_up, 0u);  // measurable window, just zero-span
 }
 
-// ------------------------------------------------------- time-based windows
+// ------------------------------------------------------------- jitter
 
-TEST(HubTimeWindow, BeatsAgeOutAtTheConfiguredHorizon) {
+TEST(HubJitter, StddevSummarizesWindowJitter) {
   auto clock = std::make_shared<util::ManualClock>();
-  HubOptions opts = manual_opts(clock, 1, 4, /*window=*/256);
-  opts.window_ns = kNsPerSec;  // 1s horizon
-  HeartbeatHub hub(opts);
-  const AppId id = hub.register_app("a");
-
-  // 20 beats at 100ms: t = 0.1s .. 2.0s.
-  for (int i = 0; i < 20; ++i) {
-    clock->advance(kNsPerSec / 10);
-    hub.beat(id);
-  }
-  // At t=2.0s the horizon starts at 1.0s: beats 0.1..0.9s are gone.
-  AppSummary s = app_summary(hub, "a");
-  EXPECT_EQ(s.total_beats, 20u);
-  EXPECT_EQ(s.window_beats, 11u);
-  EXPECT_DOUBLE_EQ(s.rate_bps, 10.0);
-
-  // Silence ages the window further even with no new beats.
-  clock->advance(kNsPerSec / 2);  // t = 2.5s, horizon 1.5s
-  s = app_summary(hub, "a");
-  EXPECT_EQ(s.window_beats, 6u);  // 1.5 .. 2.0s
-  EXPECT_DOUBLE_EQ(s.rate_bps, 10.0);
-  EXPECT_EQ(s.staleness_ns, kNsPerSec / 2);
-
-  // Long enough silence empties it entirely: no rate evidence left.
-  clock->advance(2 * kNsPerSec);  // t = 4.5s
-  s = app_summary(hub, "a");
-  EXPECT_EQ(s.window_beats, 0u);
-  EXPECT_DOUBLE_EQ(s.rate_bps, 0.0);
-  EXPECT_EQ(s.total_beats, 20u);
-  EXPECT_EQ(s.interval_p99_ns, 0u);
-}
-
-TEST(HubTimeWindow, IntervalStatsTrackOnlyUnexpiredBeats) {
-  // Slow era then fast era; a 1s horizon must forget the slow intervals
-  // even though the beat-count window could still hold them.
-  auto clock = std::make_shared<util::ManualClock>();
-  HubOptions opts = manual_opts(clock, 1, 4, /*window=*/256);
-  opts.window_ns = kNsPerSec;
-  HeartbeatHub hub(opts);
-  const AppId id = hub.register_app("a");
-  for (int i = 0; i < 5; ++i) {
-    clock->advance(kNsPerSec);  // 1s intervals
-    hub.beat(id);
-  }
-  for (int i = 0; i < 50; ++i) {
-    clock->advance(10 * kNsPerMs);  // 10ms intervals
-    hub.beat(id);
-  }
-  const AppSummary s = app_summary(hub, "a");
-  EXPECT_EQ(s.interval_max_ns, static_cast<std::uint64_t>(10 * kNsPerMs));
-  EXPECT_EQ(s.interval_min_ns, static_cast<std::uint64_t>(10 * kNsPerMs));
-  EXPECT_DOUBLE_EQ(s.interval_stddev_ns, 0.0);
-  EXPECT_NEAR(s.rate_bps, 100.0, 1e-9);
-}
-
-TEST(HubTimeWindow, ResumingAfterFullAgeOutStartsAFreshWindow) {
-  // The silent gap is staleness, not an interval: a beat after the window
-  // fully aged out must not record a gap-spanning interval.
-  auto clock = std::make_shared<util::ManualClock>();
-  HubOptions opts = manual_opts(clock, 1, 1, /*window=*/64);
-  opts.window_ns = kNsPerSec;
-  HeartbeatHub hub(opts);
-  const AppId id = hub.register_app("a");
-  for (int i = 0; i < 5; ++i) {
-    clock->advance(100 * kNsPerMs);
-    hub.beat(id);
-  }
-  clock->advance(10 * kNsPerSec);
-  EXPECT_EQ(app_summary(hub, "a").window_beats, 0u);  // all aged
-  clock->advance(100 * kNsPerMs);
-  hub.beat(id);
-  const AppSummary s = app_summary(hub, "a");
-  EXPECT_EQ(s.window_beats, 1u);
-  EXPECT_EQ(s.interval_max_ns, 0u);  // no 10s gap interval
-  EXPECT_EQ(s.total_beats, 6u);
-}
-
-TEST(HubTimeWindow, StddevSummarizesWindowJitter) {
-  auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 1, 4, /*window=*/64));
+  HeartbeatHub hub(manual_opts(clock, 1, /*window=*/64));
   const AppId id = hub.register_app("a");
   // Alternating 10ms / 30ms intervals: mean 20ms, population stddev 10ms.
   for (int i = 0; i < 21; ++i) {
@@ -610,12 +524,15 @@ TEST(HubEviction, ANewBeatRevives) {
   hub.evict(id);
   EXPECT_TRUE(app_summary(hub, "phoenix").evicted);
 
-  clock->advance(kNsPerMs);
+  clock->advance(kNsPerSec);
   hub.beat(id);
   const AppSummary s = app_summary(hub, "phoenix");
   EXPECT_FALSE(s.evicted);
   EXPECT_EQ(s.total_beats, 6u);
   EXPECT_EQ(s.window_beats, 1u);  // the window restarted clean
+  // The silent gap is staleness, not an interval.
+  EXPECT_EQ(s.interval_max_ns, 0u);
+  EXPECT_DOUBLE_EQ(s.rate_bps, 0.0);
   EXPECT_EQ(hub.snapshot()->cluster().apps, 1u);
 }
 
@@ -666,7 +583,7 @@ TEST(HubEviction, AutoEvictionAfterTheStalenessBound) {
 
 std::vector<AppSummary> scripted_run() {
   auto clock = std::make_shared<util::ManualClock>();
-  HeartbeatHub hub(manual_opts(clock, 4, 8, 32));
+  HeartbeatHub hub(manual_opts(clock, 4, 32));
   std::vector<AppId> ids;
   for (int i = 0; i < 12; ++i) {
     ids.push_back(hub.register_app("app" + std::to_string(i),
@@ -706,7 +623,6 @@ TEST(HubDeterminism, ScriptedRunsAreBitIdentical) {
 TEST(HubConcurrency, EightProducerThreadsLoseNoBeats) {
   HubOptions opts;
   opts.shard_count = 4;
-  opts.batch_capacity = 16;
   opts.window_capacity = 128;
   HeartbeatHub hub(opts);  // real monotonic clock
 
@@ -749,7 +665,6 @@ TEST(HubConcurrency, EightProducerThreadsLoseNoBeats) {
 TEST(HubConcurrency, RegistrationRacesWithIngestion) {
   HubOptions opts;
   opts.shard_count = 2;
-  opts.batch_capacity = 4;
   HeartbeatHub hub(opts);
   std::atomic<bool> stop{false};
 
@@ -776,7 +691,7 @@ TEST(HubConcurrency, RegistrationRacesWithIngestion) {
 
 TEST(HubSink, MirrorsHeartbeatProducersIntoTheHub) {
   auto clock = std::make_shared<util::ManualClock>();
-  auto hub = std::make_shared<HeartbeatHub>(manual_opts(clock, 2, 4));
+  auto hub = std::make_shared<HeartbeatHub>(manual_opts(clock, 2));
 
   core::HeartbeatOptions opts;
   opts.name = "x264";
@@ -834,7 +749,7 @@ TEST(HubSink, WrapsExistingTransports) {
   transport::Registry registry(dir);
 
   auto clock = std::make_shared<util::ManualClock>();
-  auto hub = std::make_shared<HeartbeatHub>(manual_opts(clock, 2, 4));
+  auto hub = std::make_shared<HeartbeatHub>(manual_opts(clock, 2));
 
   core::HeartbeatOptions opts;
   opts.name = "legacy";
