@@ -23,6 +23,12 @@
 // "observers must not block ingest" shape; the ±5% ingest gate vs the
 // pre-refactor hub is tracked through bench_hub_throughput's CI smoke).
 //
+// The `publish` row times one publish (HeartbeatHub::snapshot(): apply
+// pending, refresh dirty summaries, compose) at pipebench fleet_churn's
+// shape: 8 shards, 256-beat windows already full, apps at 10 Hz tagged
+// with their cycle, a publish every 50 ms, so half the apps are dirty at
+// each. It reports p50/p99 under pipebench's stage name `publish.ms`.
+//
 //   ./bench_snapshot_query [apps] [queries]   (default 4000 x 2000)
 //   ./bench_snapshot_query --smoke            (fewer reps, same gates)
 //   ./bench_snapshot_query --json PATH        (write a BENCH json record)
@@ -41,10 +47,13 @@
 #include <thread>
 #include <vector>
 
+#include <algorithm>
+
 #include "bench_json.hpp"
 #include "fault/fleet_detector.hpp"
 #include "hub/hub.hpp"
 #include "util/clock.hpp"
+#include "util/rng.hpp"
 #include "util/time.hpp"
 
 namespace {
@@ -58,6 +67,71 @@ double timed(const auto& fn) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+struct PublishRow {
+  double p50_ms = 0.0;
+  double p99_ms = 0.0;
+  bool ok = false;
+};
+
+// Time `publishes` publishes of a fleet_churn-shaped hub (see the header).
+PublishRow publish_row(int apps, int publishes) {
+  constexpr std::size_t kWindow = 256;
+  constexpr hb::util::TimeNs kPeriod = 100 * kNsPerMs;
+  auto clock = std::make_shared<hb::util::ManualClock>();
+  hb::hub::HubOptions opts;
+  opts.shard_count = 8;
+  opts.window_capacity = kWindow;
+  opts.clock = clock;
+  hb::hub::HeartbeatHub hub(opts);
+  std::vector<hb::hub::AppId> ids;
+  for (int i = 0; i < apps; ++i) {
+    ids.push_back(hub.register_app("app-" + std::to_string(i), {4.0, 1000.0}));
+  }
+  // App i beats at its own phase within each period, +-1 ms of jitter.
+  hb::util::Rng rng(1);
+  std::uint64_t beats = 0;
+  auto beat = [&](std::size_t i, std::uint64_t cycle) {
+    hb::core::HeartbeatRecord rec;
+    rec.timestamp_ns = static_cast<hb::util::TimeNs>(cycle) * kPeriod +
+                       static_cast<hb::util::TimeNs>(i) * kPeriod /
+                           static_cast<hb::util::TimeNs>(ids.size()) +
+                       static_cast<hb::util::TimeNs>(rng.next_below(2 * kNsPerMs));
+    rec.tag = cycle;
+    hub.ingest(ids[i], rec);
+    ++beats;
+  };
+  // Fill every window, then publish once so the timed loop starts steady.
+  std::uint64_t cycle = 0;
+  for (; cycle <= kWindow; ++cycle) {
+    for (std::size_t i = 0; i < ids.size(); ++i) beat(i, cycle);
+  }
+  clock->set(static_cast<hb::util::TimeNs>(cycle) * kPeriod);
+  (void)hub.snapshot();
+
+  std::vector<double> ms;
+  ms.reserve(static_cast<std::size_t>(publishes));
+  for (int k = 0; k < publishes; ++k) {
+    // One half of the fleet beats per 50 ms publish: each app at 10 Hz.
+    for (std::size_t i = static_cast<std::size_t>(k % 2); i < ids.size(); i += 2) {
+      beat(i, cycle);
+    }
+    if (k % 2 == 1) ++cycle;
+    clock->advance(kPeriod / 2);
+    const double s = timed([&] { (void)hub.snapshot(); });
+    ms.push_back(s * 1e3);
+  }
+  std::sort(ms.begin(), ms.end());
+  auto rank = [&](double q) {
+    return ms[std::min(ms.size() - 1,
+                       static_cast<std::size_t>(q * static_cast<double>(ms.size())))];
+  };
+  const auto cluster = hub.snapshot()->cluster();
+  const std::uint64_t full_windows =
+      static_cast<std::uint64_t>(apps) * kWindow;
+  return {rank(0.50), rank(0.99),
+          cluster.total_beats == beats && cluster.window_beats == full_windows};
 }
 
 }  // namespace
@@ -183,6 +257,9 @@ int main(int argc, char** argv) {
       ingest_s > 0.0 ? static_cast<double>(per_thread) * kProducers / ingest_s
                      : 0.0;
 
+  // --- publish at fleet_churn's shape (its own hub).
+  const PublishRow publish = publish_row(apps, smoke ? 100 : 400);
+
   // --- correctness: cached and rebuilt answers describe the same fleet,
   // the cache actually hit, sweeps carry a coherent epoch, and no beat was
   // lost under the concurrent observer.
@@ -199,7 +276,7 @@ int main(int argc, char** argv) {
       cached_report.snapshot_epoch > 0 &&
       rebuilt_report.snapshot_epoch > cached_report.snapshot_epoch &&
       cached_hits >= static_cast<std::uint64_t>(queries - 2) &&
-      final_cluster.total_beats == expected_beats;
+      final_cluster.total_beats == expected_beats && publish.ok;
 
   std::printf("mode,apps,queries,seconds,queries_per_sec\n");
   std::printf("cluster_cached,%d,%d,%.6f,%.0f\n", apps, queries,
@@ -217,6 +294,9 @@ int main(int argc, char** argv) {
   std::printf("ingest_with_observer,%d,%llu,%.4f,%.0f\n", apps,
               static_cast<unsigned long long>(per_thread * kProducers),
               ingest_s, ingest_bps);
+  std::printf("\nstage,apps,publishes,p50_ms,p99_ms\n");
+  std::printf("publish.ms,%d,%d,%.3f,%.3f\n", apps, smoke ? 100 : 400,
+              publish.p50_ms, publish.p99_ms);
   std::printf("\n# cluster_speedup=%.1f\n", cluster_speedup);
   std::printf("# sweep_speedup=%.1f\n", sweep_speedup);
   std::printf("# cache_hits=%llu of %d cached queries\n",
@@ -239,6 +319,8 @@ int main(int argc, char** argv) {
     rec.metric("cluster_speedup", cluster_speedup);
     rec.metric("sweep_speedup", sweep_speedup);
     rec.metric("ingest_beats_per_sec_with_observer", ingest_bps);
+    rec.metric("publish.ms.p50", publish.p50_ms);
+    rec.metric("publish.ms.p99", publish.p99_ms);
     rec.metric("correctness", ok);
     rec.write(json_path);
   }

@@ -1,6 +1,7 @@
 #include "hub/shard.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -36,14 +37,6 @@ struct ShardMetrics {
     return m;
   }
 };
-
-/// Clamp a histogram percentile into the window-exact [min, max] range
-/// (the histogram's own bounds cover everything since reset, which may be
-/// wider than the current sliding window after evictions).
-std::uint64_t clamped_percentile(const util::LatencyHistogram& hist, double p,
-                                 std::uint64_t lo, std::uint64_t hi) {
-  return std::clamp(hist.percentile(p), lo, hi);
-}
 
 }  // namespace
 
@@ -231,6 +224,7 @@ void HubShard::rebuild_snapshot_locked(util::TimeNs now) {
   next->apps.reserve(apps_.size());
 
   ClusterSummary& sum = next->cluster_part;
+  bool any_interval = false;
   for (AppState& app : apps_) {
     // One walk does everything the old per-query collect paths did:
     // time maintenance, dirty refresh, summary copy, rollup accumulation.
@@ -266,17 +260,19 @@ void HubShard::rebuild_snapshot_locked(util::TimeNs now) {
     }
     sum.last_beat_ns = std::max(sum.last_beat_ns, s.last_beat_ns);
     if (app.intervals.size() > 0) {
-      next->intervals.merge(app.hist);
-      if (!next->any_interval) {
+      if (!any_interval) {
         sum.interval_min_ns = s.interval_min_ns;
         sum.interval_max_ns = s.interval_max_ns;
-        next->any_interval = true;
+        any_interval = true;
       } else {
         sum.interval_min_ns = std::min(sum.interval_min_ns, s.interval_min_ns);
         sum.interval_max_ns = std::max(sum.interval_max_ns, s.interval_max_ns);
       }
     }
   }
+  // shard_hist_ already holds exactly the live windows' intervals (kept at
+  // apply and eviction, including the evictions maintenance just made).
+  next->intervals = shard_hist_;
   next->tags.reserve(tag_rollup_.size());
   tag_rollup_.for_each(
       [&](std::uint64_t, const TagSummary& t) { next->tags.push_back(t); });
@@ -346,6 +342,9 @@ void HubShard::retire_oldest_tag_locked(AppState& app) {
 
 void HubShard::evict_locked(AppState& app) {
   app.window.clear();
+  for (std::size_t i = 0; i < app.intervals.size(); ++i) {
+    shard_hist_.forget(app.intervals.back(i));
+  }
   app.intervals.clear();
   app.hist.reset();
   for (const auto& [tag, count] : app.tag_counts) {
@@ -372,11 +371,12 @@ void HubShard::apply_locked(std::uint32_t slot, const core::HeartbeatRecord& rec
         rec.timestamp_ns > prev_ns
             ? static_cast<std::uint64_t>(rec.timestamp_ns - prev_ns)
             : 0;
-    if (app.intervals.size() == app.intervals.capacity()) {
-      app.hist.forget(app.intervals.back(app.intervals.size() - 1));
+    if (const auto retired = app.intervals.push(interval)) {
+      app.hist.forget(*retired);
+      shard_hist_.forget(*retired);
     }
-    app.intervals.push(interval);
     app.hist.record(interval);
+    shard_hist_.record(interval);
   }
   app.last_beat_ns = rec.timestamp_ns;
 
@@ -417,28 +417,23 @@ void HubShard::refresh_locked(AppState& app) {
     s.interval_stddev_ns = 0.0;
     s.interval_p50_ns = s.interval_p95_ns = s.interval_p99_ns = 0;
   } else {
-    std::uint64_t lo = app.intervals.back(0), hi = lo;
-    double sum = static_cast<double>(lo);
-    double sumsq = sum * sum;
-    for (std::size_t i = 1; i < n_intervals; ++i) {
-      const std::uint64_t v = app.intervals.back(i);
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-      const double d = static_cast<double>(v);
-      sum += d;
-      sumsq += d * d;
-    }
+    // Everything below was kept current at apply; nothing rescans the
+    // window here (min/max only after a retired extreme).
+    const std::uint64_t lo = app.intervals.min();
+    const std::uint64_t hi = app.intervals.max();
     s.interval_min_ns = lo;
     s.interval_max_ns = hi;
-    s.interval_mean_ns = app.hist.mean();
+    s.interval_mean_ns = app.intervals.mean();
     // Exact population stddev over the windowed intervals — the jitter
     // signal ("slow or erratic heartbeats", paper Section 2.6).
-    const double n = static_cast<double>(n_intervals);
-    const double mean = sum / n;
-    s.interval_stddev_ns = std::sqrt(std::max(0.0, sumsq / n - mean * mean));
-    s.interval_p50_ns = clamped_percentile(app.hist, 50.0, lo, hi);
-    s.interval_p95_ns = clamped_percentile(app.hist, 95.0, lo, hi);
-    s.interval_p99_ns = clamped_percentile(app.hist, 99.0, lo, hi);
+    s.interval_stddev_ns = app.intervals.stddev();
+    // The histogram's own bounds cover everything since its last reset,
+    // which may be wider than the window: clamp to the window-exact range.
+    std::array<std::uint64_t, util::kSummaryPercentiles.size()> p{};
+    app.hist.percentiles(util::kSummaryPercentiles, p);
+    s.interval_p50_ns = std::clamp(p[0], lo, hi);
+    s.interval_p95_ns = std::clamp(p[1], lo, hi);
+    s.interval_p99_ns = std::clamp(p[2], lo, hi);
   }
   app.dirty = false;
 }

@@ -11,12 +11,15 @@
 //   to the fresh batch. The ingest critical section never contains window
 //   maintenance, summary refresh, or snapshot construction.
 //
-//   PUBLISH stage (state_mu_): the expensive work — applying batches,
-//   sliding-window maintenance, interval histograms, summary refresh —
-//   runs at publish time and ends by swapping in an immutable, epoch-
-//   stamped ShardSnapshot (shared_ptr). Readers grab the pointer under a
-//   third, trivially short lock (snap_mu_) and never hold any shard lock
-//   across summary copies.
+//   PUBLISH stage (state_mu_): applying a beat keeps every window
+//   statistic current — interval sum and sum of squares, min/max, the
+//   app's and the shard's interval histograms, tag counts — so a publish
+//   is "apply pending + one summary copy per app": a dirty app's summary
+//   reads its statistics in O(1) (plus one histogram walk for the
+//   percentiles) and the shard rollups are copied, not recomputed. It ends
+//   by swapping in an immutable, epoch-stamped ShardSnapshot (shared_ptr).
+//   Readers grab the pointer under a third, trivially short lock
+//   (snap_mu_) and never hold any shard lock across summary copies.
 //
 // A publish that finds nothing new (no pending beats, no dirty targets or
 // evictions, a clock that has not moved) republishes nothing: the epoch
@@ -47,6 +50,7 @@
 #include "util/mutex.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/thread_annotations.hpp"
+#include "util/window_stats.hpp"
 
 namespace hb::hub {
 
@@ -127,8 +131,8 @@ class HubShard {
     util::TimeNs born_ns = 0;
     bool evicted = false;
     util::RingBuffer<core::HeartbeatRecord> window;
-    util::RingBuffer<std::uint64_t> intervals;  ///< windowed, drives `hist`
-    util::LatencyHistogram hist;                ///< exactly the ring's values
+    util::WindowStats intervals;  ///< windowed, drives `hist`
+    util::LatencyHistogram hist;  ///< exactly the window's intervals
     std::unordered_map<std::uint64_t, std::uint64_t> tag_counts;  ///< windowed
     AppSummary cached;
     bool dirty = false;
@@ -169,8 +173,9 @@ class HubShard {
   void retire_oldest_tag_locked(AppState& app) HB_REQUIRES(state_mu_);
   void evict_locked(AppState& app) HB_REQUIRES(state_mu_);
   /// Build the next ShardSnapshot from current app state (one walk:
-  /// maintenance + refresh + copy + rollups) and swap it in. Caller holds
-  /// state_mu_; the swap itself takes snap_mu_ only.
+  /// maintenance + dirty refresh + summary copy + cluster counts; the
+  /// interval histogram and tag rollup are copied whole) and swap it in.
+  /// Caller holds state_mu_; the swap itself takes snap_mu_ only.
   void rebuild_snapshot_locked(util::TimeNs now)
       HB_REQUIRES(state_mu_) HB_EXCLUDES(snap_mu_);
 
@@ -197,6 +202,10 @@ class HubShard {
   /// of walking each app's tags: that walk cost O(apps x window) and grew
   /// with every beat until the windows filled.
   util::FlatU64Map<TagSummary> tag_rollup_ HB_GUARDED_BY(state_mu_);
+  /// The sum of every app's `hist` (evicted apps hold none), kept in the
+  /// same steps as each app's, so a publish copies it instead of merging
+  /// every app's 496 buckets.
+  util::LatencyHistogram shard_hist_ HB_GUARDED_BY(state_mu_);
 
   /// INGEST stage. Guards batch_, overflow_, ingested_. Producers touch
   /// nothing else on the hot path.

@@ -1,7 +1,8 @@
 #include "hub/snapshot.hpp"
 
 #include <algorithm>
-#include <map>
+#include <array>
+#include <span>
 
 namespace hb::hub {
 
@@ -19,7 +20,7 @@ std::shared_ptr<const FleetSnapshot> FleetSnapshot::compose(
   ClusterSummary& sum = snap->cluster_;
   util::LatencyHistogram intervals;
   bool any_interval = false;
-  std::map<std::uint64_t, TagSummary> by_tag;
+  std::vector<std::span<const TagSummary>> tag_runs;
   for (const auto& shard : snap->shards_) {
     snap->epoch_ += shard->epoch;
     snap->app_count_ += shard->apps.size();
@@ -34,7 +35,7 @@ std::shared_ptr<const FleetSnapshot> FleetSnapshot::compose(
     sum.warming_up += part.warming_up;
     sum.evicted += part.evicted;
     sum.last_beat_ns = std::max(sum.last_beat_ns, part.last_beat_ns);
-    if (shard->any_interval) {
+    if (shard->intervals.count() > 0) {
       intervals.merge(shard->intervals);
       if (!any_interval) {
         sum.interval_min_ns = part.interval_min_ns;
@@ -47,26 +48,37 @@ std::shared_ptr<const FleetSnapshot> FleetSnapshot::compose(
             std::max(sum.interval_max_ns, part.interval_max_ns);
       }
     }
-    for (const TagSummary& t : shard->tags) {
-      TagSummary& acc = by_tag[t.tag];
-      acc.tag = t.tag;
-      acc.beats += t.beats;
-      acc.apps += t.apps;
-    }
+    if (!shard->tags.empty()) tag_runs.emplace_back(shard->tags);
   }
   if (any_interval) {
     // Clamp the bucketed percentiles into the window-exact [min, max], the
     // same rule the per-shard publish applies to per-app summaries.
-    const auto clamp = [&](double p) {
-      return std::clamp(intervals.percentile(p), sum.interval_min_ns,
-                        sum.interval_max_ns);
+    std::array<std::uint64_t, util::kSummaryPercentiles.size()> p{};
+    intervals.percentiles(util::kSummaryPercentiles, p);
+    const auto clamp = [&](std::uint64_t v) {
+      return std::clamp(v, sum.interval_min_ns, sum.interval_max_ns);
     };
-    sum.interval_p50_ns = clamp(50.0);
-    sum.interval_p95_ns = clamp(95.0);
-    sum.interval_p99_ns = clamp(99.0);
+    sum.interval_p50_ns = clamp(p[0]);
+    sum.interval_p95_ns = clamp(p[1]);
+    sum.interval_p99_ns = clamp(p[2]);
   }
-  snap->tags_.reserve(by_tag.size());
-  for (const auto& [_, t] : by_tag) snap->tags_.push_back(t);
+
+  // Tags: every shard's list is ascending by tag, so one merge pass over
+  // the shards' heads yields the fleet list in order, summing equal tags.
+  while (!tag_runs.empty()) {
+    std::uint64_t tag = tag_runs.front().front().tag;
+    for (const auto& run : tag_runs) tag = std::min(tag, run.front().tag);
+    TagSummary acc;
+    acc.tag = tag;
+    for (auto& run : tag_runs) {
+      if (run.front().tag != tag) continue;
+      acc.beats += run.front().beats;
+      acc.apps += run.front().apps;
+      run = run.subspan(1);
+    }
+    snap->tags_.push_back(acc);
+    std::erase_if(tag_runs, [](const auto& run) { return run.empty(); });
+  }
 
   return snap;
 }

@@ -63,10 +63,10 @@ struct ShardSnapshot {
   /// Percentile fields are left zero: they only exist fleet-wide, composed
   /// from `intervals` below.
   ClusterSummary cluster_part;
-  /// Merged inter-beat interval histogram across this shard's live apps'
-  /// windows (drives the composed cluster percentiles).
+  /// Inter-beat interval histogram across this shard's live apps' windows
+  /// (drives the composed cluster percentiles); empty when no live app
+  /// has an interval.
   util::LatencyHistogram intervals;
-  bool any_interval = false;
 
   /// Windowed per-tag beat counts across this shard's live apps,
   /// ascending by tag.

@@ -1,5 +1,6 @@
 #include "obs/metrics.hpp"
 
+#include <array>
 #include <chrono>
 #include <cstdlib>
 #include <stdexcept>
@@ -105,9 +106,11 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         v.min = h.min();
         v.max = h.max();
         v.mean = h.mean();
-        v.p50 = h.percentile(50.0);
-        v.p95 = h.percentile(95.0);
-        v.p99 = h.percentile(99.0);
+        std::array<std::uint64_t, util::kSummaryPercentiles.size()> p{};
+        h.percentiles(util::kSummaryPercentiles, p);
+        v.p50 = p[0];
+        v.p95 = p[1];
+        v.p99 = p[2];
         break;
       }
     }

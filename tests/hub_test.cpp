@@ -3,10 +3,12 @@
 // deterministic behavior under fake clocks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -21,6 +23,8 @@
 #include "test_support.hpp"
 #include "transport/registry.hpp"
 #include "util/clock.hpp"
+#include "util/histogram.hpp"
+#include "util/rng.hpp"
 #include "util/time.hpp"
 
 namespace hb::hub {
@@ -482,6 +486,157 @@ TEST(HubJitter, StddevSummarizesWindowJitter) {
   const AppSummary s = app_summary(hub, "a");
   EXPECT_NEAR(s.interval_mean_ns, 20.0 * kNsPerMs, 1.0);
   EXPECT_NEAR(s.interval_stddev_ns, 10.0 * kNsPerMs, 1.0);
+}
+
+// ------------------------------------------- kept statistics vs recompute
+
+// What one app's window holds, tracked beside the hub: the records it sent
+// since its last eviction, newest last, and the intervals between them.
+struct ModelApp {
+  AppId id{};
+  std::uint32_t shard = 0;
+  bool evicted = false;
+  std::uint64_t total = 0;
+  std::vector<core::HeartbeatRecord> window;  // newest `capacity` records
+};
+
+// The window's intervals, oldest first: the gap from each record to the one
+// before it, a backward step counting as zero.
+std::vector<std::uint64_t> model_intervals(const ModelApp& m) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t i = 1; i < m.window.size(); ++i) {
+    const util::TimeNs a = m.window[i - 1].timestamp_ns;
+    const util::TimeNs b = m.window[i].timestamp_ns;
+    out.push_back(b > a ? static_cast<std::uint64_t>(b - a) : 0);
+  }
+  return out;
+}
+
+void expect_summary_matches(const AppSummary& s, const ModelApp& m) {
+  ASSERT_EQ(s.evicted, m.evicted);
+  ASSERT_EQ(s.total_beats, m.total);
+  ASSERT_EQ(s.window_beats, m.window.size());
+  const std::vector<std::uint64_t> iv = model_intervals(m);
+  if (iv.empty()) {
+    ASSERT_EQ(s.interval_min_ns, 0u);
+    ASSERT_EQ(s.interval_max_ns, 0u);
+    ASSERT_EQ(s.interval_mean_ns, 0.0);
+    ASSERT_EQ(s.interval_stddev_ns, 0.0);
+    ASSERT_EQ(s.interval_p99_ns, 0u);
+    return;
+  }
+  ASSERT_EQ(s.interval_min_ns, *std::min_element(iv.begin(), iv.end()));
+  ASSERT_EQ(s.interval_max_ns, *std::max_element(iv.begin(), iv.end()));
+  std::uint64_t sum = 0;
+  for (std::uint64_t v : iv) sum += v;
+  const double n = static_cast<double>(iv.size());
+  ASSERT_DOUBLE_EQ(s.interval_mean_ns, static_cast<double>(sum) / n);
+  long double dev = 0;
+  const long double mean = static_cast<long double>(sum) / iv.size();
+  for (std::uint64_t v : iv) dev += (v - mean) * (v - mean);
+  const double stddev = static_cast<double>(std::sqrt(dev / iv.size()));
+  ASSERT_NEAR(s.interval_stddev_ns, stddev, 1e-9 * stddev + 1e-6);
+  // A histogram built from this window alone: its own bounds are the
+  // window's, so its percentiles need no clamping.
+  util::LatencyHistogram fresh;
+  for (std::uint64_t v : iv) fresh.record(v);
+  ASSERT_EQ(s.interval_p50_ns, fresh.percentile(50.0));
+  ASSERT_EQ(s.interval_p95_ns, fresh.percentile(95.0));
+  ASSERT_EQ(s.interval_p99_ns, fresh.percentile(99.0));
+}
+
+// Property: a seeded mix of jittered, zero and out-of-order intervals, long
+// enough to overwrite every window many times, with evictions and
+// revivals. After every publish each app's summary equals a recompute from
+// its window, each shard's interval histogram equals the one its live
+// windows give, and the fleet's percentiles and tags equal a recompute over
+// every live window. Small value steps make a retired interval often equal
+// the window's min or max, so the lazy rescan runs.
+TEST(HubWindowStats, KeptStatisticsEqualARecomputeAfterEveryPublish) {
+  constexpr std::size_t kWindow = 16;
+  constexpr std::size_t kApps = 12;
+  constexpr std::uint32_t kShards = 3;
+  auto clock = std::make_shared<util::ManualClock>();
+  HeartbeatHub hub(manual_opts(clock, kShards, kWindow));
+  std::vector<ModelApp> model(kApps);
+  for (std::size_t a = 0; a < kApps; ++a) {
+    model[a].id = hub.register_app("app" + std::to_string(a));
+    model[a].shard = app_id_shard(model[a].id);
+  }
+  util::Rng rng(7);
+  util::TimeNs now = kNsPerSec;
+  for (int step = 0; step < 4000; ++step) {
+    ModelApp& m = model[rng.next_below(kApps)];
+    const std::uint64_t op = rng.next_below(100);
+    if (op < 2) {
+      hub.evict(m.id);
+      if (!m.evicted) m.window.clear();
+      m.evicted = true;
+    } else {
+      core::HeartbeatRecord rec;
+      now += static_cast<util::TimeNs>(kNsPerMs + rng.next_below(4) * 1000);
+      rec.timestamp_ns = now;
+      if (op < 12) {  // same tick as the app's newest beat: zero interval
+        if (!m.window.empty()) rec.timestamp_ns = m.window.back().timestamp_ns;
+      } else if (op < 20) {  // behind the app's newest beat: clamps to zero
+        rec.timestamp_ns = now - static_cast<util::TimeNs>(
+                                     (1 + rng.next_below(5)) * kNsPerMs);
+      } else if (op < 24) {  // a stall
+        rec.timestamp_ns = now + 50 * kNsPerMs;
+      }
+      rec.tag = rng.next_below(6);
+      hub.ingest(m.id, rec);
+      m.evicted = false;
+      ++m.total;
+      m.window.push_back(rec);
+      if (m.window.size() > kWindow) m.window.erase(m.window.begin());
+    }
+    if (step % 7 != 0) continue;
+
+    const auto snap = hub.snapshot();
+    std::vector<util::LatencyHistogram> by_shard(kShards);
+    util::LatencyHistogram fleet;
+    std::map<std::uint64_t, TagSummary> tags;
+    for (const ModelApp& app : model) {
+      ASSERT_NO_FATAL_FAILURE(expect_summary_matches(*snap->find(app.id), app))
+          << "step " << step << " app " << app.id;
+      for (std::uint64_t v : model_intervals(app)) {
+        by_shard[app.shard].record(v);
+        fleet.record(v);
+      }
+      std::map<std::uint64_t, std::uint64_t> mine;
+      for (const auto& rec : app.window) ++mine[rec.tag];
+      for (const auto& [tag, beats] : mine) {
+        tags[tag].tag = tag;
+        tags[tag].beats += beats;
+        ++tags[tag].apps;
+      }
+    }
+    for (std::uint32_t sh = 0; sh < kShards; ++sh) {
+      const util::LatencyHistogram& got = snap->shard(sh).intervals;
+      ASSERT_EQ(got.count(), by_shard[sh].count()) << "step " << step;
+      for (std::size_t i = 0; i < util::LatencyHistogram::kBucketCount; ++i) {
+        ASSERT_EQ(got.bucket_count(i), by_shard[sh].bucket_count(i))
+            << "step " << step << " shard " << sh << " bucket " << i;
+      }
+    }
+    const ClusterSummary& c = snap->cluster();
+    if (fleet.count() > 0) {
+      ASSERT_EQ(c.interval_min_ns, fleet.min());
+      ASSERT_EQ(c.interval_max_ns, fleet.max());
+      ASSERT_EQ(c.interval_p50_ns, fleet.percentile(50.0));
+      ASSERT_EQ(c.interval_p95_ns, fleet.percentile(95.0));
+      ASSERT_EQ(c.interval_p99_ns, fleet.percentile(99.0));
+    }
+    ASSERT_EQ(snap->tags().size(), tags.size()) << "step " << step;
+    std::size_t k = 0;
+    for (const auto& [tag, want] : tags) {
+      const TagSummary& got = snap->tags()[k++];
+      ASSERT_EQ(got.tag, tag);
+      ASSERT_EQ(got.beats, want.beats) << "tag " << tag;
+      ASSERT_EQ(got.apps, want.apps) << "tag " << tag;
+    }
+  }
 }
 
 // ----------------------------------------------------------------- eviction

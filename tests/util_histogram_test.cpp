@@ -2,11 +2,14 @@
 // hub's per-app latency summaries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "util/histogram.hpp"
+#include "util/rng.hpp"
 
 namespace hb::util {
 namespace {
@@ -204,6 +207,131 @@ TEST(LatencyHistogram, DeterministicAcrossRuns) {
   }
   EXPECT_EQ(h1.min(), h2.min());
   EXPECT_EQ(h1.max(), h2.max());
+}
+
+
+// ------------------------------------------- octave totals, multi-percentile
+
+// The walk percentile() had before octave totals: bucket by bucket from the
+// bottom, clamped to [min, max].
+std::uint64_t linear_percentile(const LatencyHistogram& h, double p) {
+  if (h.count() == 0) return 0;
+  if (!(p > 0.0)) return h.min();
+  if (p >= 100.0) return h.max();
+  std::uint64_t rank = static_cast<std::uint64_t>(
+      std::ceil(p / 100.0 * static_cast<double>(h.count())));
+  rank = std::clamp<std::uint64_t>(rank, 1, h.count());
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < LatencyHistogram::kBucketCount; ++i) {
+    seen += h.bucket_count(i);
+    if (seen >= rank) {
+      return std::clamp(LatencyHistogram::bucket_upper(i), h.min(), h.max());
+    }
+  }
+  return h.max();
+}
+
+constexpr std::array<double, 12> kAscending{
+    0.0, 0.001, 1.0, 12.5, 25.0, 50.0, 50.0, 90.0, 95.0, 99.0, 99.999, 100.0};
+
+// Every structural and answer invariant, checked against `live` (the
+// values recorded and not yet forgotten).
+void expect_consistent(const LatencyHistogram& h,
+                       const std::vector<std::uint64_t>& live) {
+  ASSERT_EQ(h.count(), live.size());
+  std::array<std::uint64_t, LatencyHistogram::kBucketCount> want{};
+  for (std::uint64_t v : live) ++want[LatencyHistogram::bucket_index(v)];
+  for (std::size_t i = 0; i < LatencyHistogram::kBucketCount; ++i) {
+    ASSERT_EQ(h.bucket_count(i), want[i]) << "bucket " << i;
+  }
+  for (std::size_t o = 0; o < LatencyHistogram::kOctaveCount; ++o) {
+    std::uint64_t sum = 0;
+    for (std::size_t j = 0; j < LatencyHistogram::kSubBuckets; ++j) {
+      sum += h.bucket_count(o * LatencyHistogram::kSubBuckets + j);
+    }
+    ASSERT_EQ(h.octave_count(o), sum) << "octave " << o;
+  }
+  std::array<std::uint64_t, kAscending.size()> got{};
+  h.percentiles(kAscending, got);
+  for (std::size_t k = 0; k < kAscending.size(); ++k) {
+    ASSERT_EQ(got[k], h.percentile(kAscending[k])) << "p=" << kAscending[k];
+    ASSERT_EQ(got[k], linear_percentile(h, kAscending[k]))
+        << "p=" << kAscending[k];
+  }
+  // Out of order still answers each p (the walk restarts).
+  std::array<double, 4> mixed{99.0, 50.0, 95.0, 1.0};
+  std::array<std::uint64_t, mixed.size()> got_mixed{};
+  h.percentiles(mixed, got_mixed);
+  for (std::size_t k = 0; k < mixed.size(); ++k) {
+    ASSERT_EQ(got_mixed[k], linear_percentile(h, mixed[k])) << "p=" << mixed[k];
+  }
+}
+
+// A value from one of several ranges: the exact 0..7 buckets, the top of
+// the range, and every octave in between.
+std::uint64_t draw(Rng& rng) {
+  switch (rng.next_u64() % 4) {
+    case 0:
+      return rng.next_u64() % 8;
+    case 1:
+      return ~std::uint64_t{0} - rng.next_u64() % 3;
+    default:
+      return rng.next_u64() >> (rng.next_u64() % 64);
+  }
+}
+
+TEST(LatencyHistogram, EdgeCasesAgreeWithTheLinearWalk) {
+  LatencyHistogram h;
+  expect_consistent(h, {});  // empty
+  h.record(123456);
+  expect_consistent(h, {123456});  // one value
+  LatencyHistogram small;
+  std::vector<std::uint64_t> live;
+  for (std::uint64_t v = 0; v < 8; ++v) {
+    small.record(v);
+    live.push_back(v);
+  }
+  expect_consistent(small, live);  // the exact buckets
+  small.record(~std::uint64_t{0});
+  live.push_back(~std::uint64_t{0});
+  expect_consistent(small, live);  // the last bucket
+  LatencyHistogram top;
+  top.record(~std::uint64_t{0});
+  top.record(~std::uint64_t{0});
+  expect_consistent(top, {~std::uint64_t{0}, ~std::uint64_t{0}});
+}
+
+TEST(LatencyHistogram, RandomRecordForgetMergeKeepsEveryInvariant) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    LatencyHistogram h;
+    std::vector<std::uint64_t> live;
+    for (int step = 0; step < 400; ++step) {
+      const std::uint64_t op = rng.next_u64() % 10;
+      if (op < 5) {
+        const std::uint64_t v = draw(rng);
+        h.record(v);
+        live.push_back(v);
+      } else if (op < 9) {
+        if (live.empty()) continue;
+        const std::size_t at = rng.next_u64() % live.size();
+        h.forget(live[at]);
+        live[at] = live.back();
+        live.pop_back();
+      } else {
+        LatencyHistogram other;
+        const std::uint64_t n = rng.next_u64() % 6;
+        for (std::uint64_t i = 0; i < n; ++i) {
+          const std::uint64_t v = draw(rng);
+          other.record(v);
+          live.push_back(v);
+        }
+        h.merge(other);
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_consistent(h, live))
+          << "seed " << seed << " step " << step;
+    }
+  }
 }
 
 }  // namespace

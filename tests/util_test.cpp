@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -18,6 +19,7 @@
 #include "util/stats.hpp"
 #include "util/thread_id.hpp"
 #include "util/time.hpp"
+#include "util/window_stats.hpp"
 
 namespace hb::util {
 namespace {
@@ -225,6 +227,87 @@ TEST(FlatU64Map, MatchesUnorderedMapUnderChurn) {
   for (const auto& [key, value] : ref) {
     ASSERT_NE(m.find(key), nullptr);
     EXPECT_EQ(*m.find(key), value);
+  }
+}
+
+// ------------------------------------------------------------ window stats
+
+TEST(WindowStats, EmptyAndClearedReadZero) {
+  WindowStats w(4);
+  EXPECT_EQ(w.size(), 0u);
+  EXPECT_EQ(w.min(), 0u);
+  EXPECT_EQ(w.max(), 0u);
+  EXPECT_EQ(w.mean(), 0.0);
+  EXPECT_EQ(w.stddev(), 0.0);
+  w.push(5);
+  w.push(9);
+  w.clear();
+  EXPECT_EQ(w.size(), 0u);
+  EXPECT_EQ(w.max(), 0u);
+  EXPECT_EQ(w.stddev(), 0.0);
+  w.push(3);
+  EXPECT_EQ(w.min(), 3u);
+  EXPECT_EQ(w.max(), 3u);
+}
+
+TEST(WindowStats, PushReturnsTheRetiredValue) {
+  WindowStats w(3);
+  EXPECT_FALSE(w.push(1).has_value());
+  EXPECT_FALSE(w.push(2).has_value());
+  EXPECT_FALSE(w.push(3).has_value());
+  EXPECT_EQ(w.push(4), std::optional<std::uint64_t>(1));
+  EXPECT_EQ(w.push(5), std::optional<std::uint64_t>(2));
+  EXPECT_EQ(w.size(), 3u);
+  EXPECT_EQ(w.back(0), 5u);
+  EXPECT_EQ(w.back(2), 3u);
+}
+
+// Property: after every push the kept statistics equal a brute-force
+// recompute over the newest `capacity` values. Small value ranges make the
+// retired value often equal to the min or max (the lazy rescan path);
+// values near 2^63 make n * max overflow 64 bits (the scan fallback).
+TEST(WindowStats, MatchesBruteForceOverTheWindow) {
+  struct Case {
+    std::size_t capacity;
+    std::uint64_t base;
+    std::uint64_t spread;
+  };
+  for (const Case c : {Case{1, 0, 10}, Case{2, 0, 3}, Case{7, 0, 4},
+                       Case{64, 1000, 1000000}, Case{255, 100000000, 5000000},
+                       Case{16, std::uint64_t{1} << 62, std::uint64_t{1} << 62}}) {
+    WindowStats w(c.capacity);
+    std::vector<std::uint64_t> all;
+    Rng rng(c.capacity);
+    for (int i = 0; i < 3000; ++i) {
+      const std::uint64_t v = c.base + rng.next_below(c.spread);
+      const auto retired = w.push(v);
+      if (all.size() >= c.capacity) {
+        ASSERT_TRUE(retired.has_value());
+        ASSERT_EQ(*retired, all[all.size() - c.capacity]);
+      } else {
+        ASSERT_FALSE(retired.has_value());
+      }
+      all.push_back(v);
+      // Read only every few pushes, so several retirements can pile up
+      // behind one stale bound.
+      if (i % 3 != 0) continue;
+      const std::size_t n = std::min(all.size(), c.capacity);
+      const auto first = all.end() - static_cast<std::ptrdiff_t>(n);
+      ASSERT_EQ(w.size(), n);
+      ASSERT_EQ(w.min(), *std::min_element(first, all.end())) << "push " << i;
+      ASSERT_EQ(w.max(), *std::max_element(first, all.end())) << "push " << i;
+      long double sum = 0;
+      for (auto it = first; it != all.end(); ++it) sum += *it;
+      const long double mean = sum / n;
+      long double dev = 0;
+      for (auto it = first; it != all.end(); ++it) {
+        dev += (*it - mean) * (*it - mean);
+      }
+      const double stddev = static_cast<double>(std::sqrt(dev / n));
+      ASSERT_NEAR(w.mean(), static_cast<double>(mean),
+                  1e-12 * static_cast<double>(mean));
+      ASSERT_NEAR(w.stddev(), stddev, 1e-9 * stddev + 1e-9) << "push " << i;
+    }
   }
 }
 
